@@ -101,11 +101,10 @@ def _summary_record(engine: ClusteringEngine | None) -> str:
 
 def _sim_rows(engine: ClusteringEngine, dp: DataPoint) -> list[list[float | None]]:
     """Similarity of dp against every centroid as it stands before insertion."""
-    rows = []
-    for cid in range(1, engine.cluster_count + 1):
-        centroid = engine.cluster(cid).centroid()
-        rows.append([feature_similarity(d, c) for d, c in zip(dp.features, centroid)])
-    return rows
+    return [
+        [feature_similarity(d, c) for d, c in zip(dp.features, centroid)]
+        for centroid in engine.centroids().tolist()
+    ]
 
 
 def _decision_text(outcome: AssignmentOutcome) -> str:

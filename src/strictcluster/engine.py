@@ -10,6 +10,12 @@ sums divided by member count.
 The per-cluster scan is vectorized with numpy, but every arithmetic step
 mirrors the scalar definitions in :mod:`strictcluster.similarity` operation
 for operation, so results are bit-identical to a plain-Python evaluation.
+The per-row matched count is a float matrix-vector product of the band
+matrix with a vector of ones. It is exact: every term is 0.0 or 1.0, so
+each partial sum is a small integer that float64 holds exactly, whatever
+order or thread split the BLAS uses. Zero centroid features need no
+tracked state: only a point's own zero features can meet a zero centroid
+feature as 0/0, so only those columns are fixed up.
 """
 
 from __future__ import annotations
@@ -62,14 +68,13 @@ class ClusteringEngine:
         self._n = config.n_features
         self._lo, self._hi = qualifying_range(config.strictness)
         self._need = should_match_features(config)
+        self._ones = np.ones(self._n, dtype=np.float64)
         self._k = 0
         self._points_seen = 0
         cap = _INITIAL_CAPACITY
         self._sums = np.zeros((cap, self._n), dtype=np.float64)
         self._counts = np.zeros(cap, dtype=np.int64)
         self._centroids = np.zeros((cap, self._n), dtype=np.float64)
-        self._row_has_zero = np.zeros(cap, dtype=bool)
-        self._zero_rows = 0  # clusters whose centroid has at least one zero feature
         self._members: list[list[int]] = []
 
     @classmethod
@@ -83,9 +88,6 @@ class ClusteringEngine:
             eng._counts[i] = cl.member_count
             eng._centroids[i] = eng._sums[i] / cl.member_count
             eng._members.append(list(cl.member_seqs))
-            has_zero = bool((eng._centroids[i] == 0.0).any())
-            eng._row_has_zero[i] = has_zero
-            eng._zero_rows += has_zero
         eng._k = k
         eng._points_seen = state.points_seen
         return eng
@@ -156,14 +158,16 @@ class ClusteringEngine:
         cents = self._centroids[:k]
         with np.errstate(divide="ignore", invalid="ignore"):
             sims = (100.0 * f) / cents
-        if self._zero_rows:
-            # zero centroid feature: an exactly-zero point value is identical
-            # (similarity 100); a positive one is undefined and the inf left
-            # by the division never falls inside the band.
-            sims[(cents == 0.0) & (f == 0.0)] = 100.0
+        # zero centroid feature: an exactly-zero point value is identical
+        # (similarity 100, fixed up here from the nan of 0/0); a positive one
+        # is undefined and the inf left by the division never falls inside
+        # the band.
+        for j in (f == 0.0).nonzero()[0]:
+            col = sims[:, j]
+            col[cents[:, j] == 0.0] = 100.0
         band = (sims >= self._lo) & (sims <= self._hi)
-        matched = band.sum(axis=1)
-        qualified_ids = np.flatnonzero(matched >= self._need)
+        matched = band @ self._ones
+        qualified_ids = (matched >= self._need).nonzero()[0]
 
         if qualified_ids.size == 0:
             cid = self._create(f, dp.seq)
@@ -232,9 +236,6 @@ class ClusteringEngine:
         counts = np.zeros(new_cap, dtype=np.int64)
         counts[:cap] = self._counts
         self._counts = counts
-        row_zero = np.zeros(new_cap, dtype=bool)
-        row_zero[:cap] = self._row_has_zero
-        self._row_has_zero = row_zero
 
     def _create(self, f: np.ndarray, seq: int) -> int:
         i = self._k
@@ -243,7 +244,6 @@ class ClusteringEngine:
         self._counts[i] = 1
         self._centroids[i] = f
         self._members.append([seq])
-        self._update_zero_flag(i)
         self._k = i + 1
         self._points_seen += 1
         return i + 1
@@ -253,13 +253,7 @@ class ClusteringEngine:
         self._counts[i] += 1
         self._centroids[i] = self._sums[i] / self._counts[i]
         self._members[i].append(seq)
-        self._update_zero_flag(i)
         self._points_seen += 1
-
-    def _update_zero_flag(self, i: int) -> None:
-        has_zero = bool((self._centroids[i] == 0.0).any())
-        self._zero_rows += int(has_zero) - int(self._row_has_zero[i])
-        self._row_has_zero[i] = has_zero
 
     def _qualifying_avg(self, sim_row: np.ndarray, band_row: np.ndarray) -> float:
         # Plain sequential sum in feature order: identical arithmetic to the

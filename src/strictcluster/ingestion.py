@@ -1,9 +1,11 @@
 """Parse data-point streams from CSV or JSONL text.
 
-CSV: one point per line, comma-separated decimal reals, optional single
-header line (detected when the first field of the first content line is not
-a number). JSONL: one object per line with a required "features" array of
-numbers and an optional "id" string kept as the point's label.
+CSV: one point per line, comma-separated decimal reals in Python float
+syntax without ``_`` digit separators, optional single header line (detected
+when the first field of the first content line is not such a number).
+JSONL: one object per line with a required "features" array of numbers
+(an integer too large for a float is a parse error) and an optional "id"
+string kept as the point's label.
 
 Blank lines are ignored everywhere. Points receive consecutive seq numbers
 in input order; skipped lines do not consume a seq.
@@ -41,13 +43,20 @@ class SkippedLine:
         return f"line {self.line_number}: {self.error}"
 
 
+def _csv_number(text: str) -> float:
+    """float() of a CSV field, refusing the ``_`` digit separators float() allows."""
+    if "_" in text:
+        raise ValueError(f"digit separator in {text!r}")
+    return float(text)
+
+
 def _parse_csv_fields(line: str) -> list[float]:
     fields = line.split(",")
     values = []
     for col, field in enumerate(fields, start=1):
         text = field.strip()
         try:
-            values.append(float(text))
+            values.append(_csv_number(text))
         except ValueError:
             raise ParseError(
                 f"column {col}: {text!r} is not a number", column=col
@@ -60,6 +69,10 @@ def _parse_jsonl_fields(line: str) -> tuple[list[float], str | None]:
         obj = json.loads(line)
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid JSON: {err.msg}", column=err.colno) from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise ParseError("invalid JSON: integer literal too long") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object")
     if "features" not in obj:
@@ -71,7 +84,12 @@ def _parse_jsonl_fields(line: str) -> tuple[list[float], str | None]:
     for col, v in enumerate(feats, start=1):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ParseError(f'"features"[{col}]: {v!r} is not a number', column=col)
-        values.append(float(v))
+        try:
+            values.append(float(v))
+        except OverflowError:
+            raise ParseError(
+                f'"features"[{col}]: integer too large for a float', column=col
+            ) from None
     label = obj.get("id")
     if label is not None and not isinstance(label, str):
         raise ParseError('"id" must be a string when present')
@@ -159,7 +177,7 @@ class PointStream:
     def _looks_like_header(text: str) -> bool:
         first = text.split(",", 1)[0].strip()
         try:
-            float(first)
+            _csv_number(first)
         except ValueError:
             return True
         return False

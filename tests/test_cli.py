@@ -116,6 +116,29 @@ class TestRun:
         assert "line 2" in err
         assert len(records_of(out)) == 1  # the valid point before the failure
 
+    @pytest.mark.parametrize("policy", ["halt", "skip"])
+    def test_huge_jsonl_integer_is_a_bad_line(self, policy, tmp_path, capsys):
+        data = tmp_path / "huge.jsonl"
+        huge = "1" + "0" * 400  # valid JSON, but no float can hold it
+        data.write_text(
+            '{"features": [1, 2]}\n'
+            f'{{"features": [1, {huge}]}}\n'
+            '{"features": [3, 4]}\n'
+        )
+        argv = ["run", "--strictness", "60", "--format", "jsonl", "--input", str(data)]
+        code = main(argv + ["--on-error", policy])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert "too large for a float" in err
+        if policy == "halt":
+            assert code == 1
+            assert err.startswith("strictcluster: error: line 2: ")
+            assert [r["seq"] for r in records_of(out)] == [0]
+        else:
+            assert code == 0
+            assert "skipped line 2" in err
+            assert [r["seq"] for r in records_of(out)] == [0, 1]
+
     def test_empty_input_is_success(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"
         data.write_text("")

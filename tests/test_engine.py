@@ -21,7 +21,7 @@ from strictcluster import (
     verify_state,
 )
 
-from generators import integer_points, random_case
+from generators import anchored_points, integer_points, random_case, uniform_points
 from golden import (
     GOLDEN_ASSIGNMENTS,
     GOLDEN_CENTROIDS,
@@ -32,7 +32,7 @@ from golden import (
     GOLDEN_STRICTNESS,
     GOLDEN_TIEBREAK_AVGS,
 )
-from reference import naive_run, naive_should_match
+from reference import NaiveClusterer, naive_run, naive_should_match
 
 GOLDEN_CONFIG = Config(GOLDEN_STRICTNESS, GOLDEN_N_FEATURES)
 
@@ -265,6 +265,18 @@ class TestProfileRecording:
             else:
                 assert b.winner_profile == a.winner_profile
 
+    @pytest.mark.parametrize("record_profiles", [True, False])
+    def test_matched_counts_are_python_ints(self, record_profiles):
+        # the kernel counts matches in float64; profiles must not leak that
+        rng = random.Random(11)
+        points = integer_points(rng, 80, 6, hi=8)
+        _, outcomes = run_stream(Config(60.0, 6), points, record_profiles=record_profiles)
+        profiles = [o.winner_profile for o in outcomes if o.winner_profile is not None]
+        for o in outcomes:
+            profiles.extend(o.profiles or ())
+        assert len(profiles) > (len(outcomes) if record_profiles else 10)
+        assert all(type(p.matched_count) is int for p in profiles)
+
 
 class TestOrderSensitivity:
     def test_arrival_order_can_change_the_outcome(self):
@@ -290,3 +302,45 @@ class TestAgainstNaiveReference:
             assert [list(c.member_seqs) for c in state.clusters] == clusterer.members
             for cluster in state.clusters:
                 assert list(cluster.centroid()) == clusterer.centroid(cluster.id - 1)
+
+    @staticmethod
+    def assert_agrees(strictness, n, points):
+        state, outcomes = run_stream(Config(strictness, n), points, record_profiles=False)
+        clusterer, results = naive_run(strictness, n, points)
+        got = [
+            (
+                o.assigned_cluster_id,
+                o.created_new,
+                o.decision_path.value,
+                None if o.winner_profile is None else o.winner_profile.matched_count,
+            )
+            for o in outcomes
+        ]
+        assert got == results
+        assert [list(c.member_seqs) for c in state.clusters] == clusterer.members
+        for cluster in state.clusters:
+            assert list(cluster.centroid()) == clusterer.centroid(cluster.id - 1)
+        return state
+
+    def test_large_state_agrees_exactly(self):
+        # k * n passes 10,000, where the BLAS may split the match count
+        # across threads; the counts must still be exact integers
+        points = uniform_points(random.Random(1200), 1200, 10)
+        state = self.assert_agrees(90.0, 10, points)
+        assert len(state.clusters) * 10 > 10_000
+
+    def test_zero_heavy_streams_agree_exactly(self):
+        rng = random.Random(20)
+        streams = [
+            (60.0, 6, anchored_points(rng, 200, 6, n_anchors=6, zero_rate=0.2, outlier_rate=0.05)),
+            (75.0, 5, integer_points(rng, 200, 5, hi=4)),
+        ]
+        cases = set()  # (point value is zero, centroid value is zero) pairs met
+        for strictness, n, points in streams:
+            self.assert_agrees(strictness, n, points)
+            naive = NaiveClusterer(strictness, n)
+            for p in points:
+                for cent in naive.centroids():
+                    cases.update((d == 0.0, c == 0.0) for d, c in zip(p, cent))
+                naive.add(p)
+        assert cases == {(False, False), (False, True), (True, False), (True, True)}

@@ -38,6 +38,14 @@ class TestCsvLine:
         assert exc.value.column == 2
         assert "'two'" in str(exc.value)
 
+    @pytest.mark.parametrize("line,col", [("1_0,2", 1), ("2,1_000.5", 2), ("1,2e1_0", 2)])
+    def test_digit_separators_are_not_numbers(self, line, col):
+        # float() would read 1_0 as 10; the CSV syntax does not
+        with pytest.raises(ParseError) as exc:
+            parse_csv_line(line, CFG2)
+        assert exc.value.column == col
+        assert "not a number" in str(exc.value)
+
     def test_wrong_arity(self):
         with pytest.raises(DimensionMismatch):
             parse_csv_line("1,2", CFG3)
@@ -86,6 +94,19 @@ class TestJsonlLine:
             ('{"features": [1, "2"]}', "not a number"),
             ('{"features": [1, 2], "id": 9}', "string"),
             ('{"features": [1, 2]', "invalid JSON"),
+            pytest.param(
+                '{"features": [1, 1' + "0" * 400 + "]}",
+                '"features"[2]: integer too large for a float',
+                id="401-digit-integer",
+            ),
+            pytest.param(
+                '{"features": [1, 1' + "0" * 5000 + "]}",
+                "integer literal too long",
+                id="5001-digit-integer",
+            ),
+            pytest.param(
+                '{"features": ' + "[" * 100_000 + "]}", "nested too deeply", id="deep-nesting"
+            ),
         ],
     )
     def test_malformed_objects(self, line, fragment):
@@ -125,6 +146,15 @@ class TestPointStream:
     def test_numeric_first_line_is_not_a_header(self):
         points = collect(PointStream(io.StringIO("1,2\n3,4\n"), "csv", CFG2))
         assert len(points) == 2
+
+    def test_digit_separated_first_field_is_not_a_number(self):
+        # one definition of "number" for data and for header detection
+        points = collect(PointStream(io.StringIO("1_0,2\n3,4\n"), "csv", CFG2))
+        assert [p.features for p in points] == [(3.0, 4.0)]
+        stream = PointStream(io.StringIO("1,2\n1_0,2\n"), "csv", CFG2)
+        with pytest.raises(ParseError) as exc:
+            collect(stream)
+        assert exc.value.line_number == 2
 
     def test_header_detection_only_applies_to_the_first_content_line(self):
         stream = PointStream(io.StringIO("1,2\nx,y\n"), "csv", CFG2)
