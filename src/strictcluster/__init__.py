@@ -61,7 +61,7 @@ from .similarity import (
     scale_above_100,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "AssignmentOutcome",

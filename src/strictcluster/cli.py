@@ -65,17 +65,16 @@ def _diagnostic(err: BaseException) -> str:
 
 
 def _assignment_record(dp: DataPoint, outcome: AssignmentOutcome) -> str:
+    """The record json.dumps(..., separators=(",", ":")) gives, built directly."""
     wp = outcome.winner_profile
-    rec = {
-        "kind": "assignment",
-        "seq": outcome.point_seq,
-        "cluster_id": outcome.assigned_cluster_id,
-        "created_new": outcome.created_new,
-        "matched_count": None if wp is None else wp.matched_count,
-        "decision_path": outcome.decision_path.value,
-        "label": dp.label,
-    }
-    return json.dumps(rec, separators=(",", ":"))
+    return (
+        f'{{"kind":"assignment","seq":{outcome.point_seq},'
+        f'"cluster_id":{outcome.assigned_cluster_id},'
+        f'"created_new":{"true" if outcome.created_new else "false"},'
+        f'"matched_count":{"null" if wp is None else wp.matched_count},'
+        f'"decision_path":"{outcome.decision_path.value}",'
+        f'"label":{"null" if dp.label is None else json.dumps(dp.label)}}}'
+    )
 
 
 def _summary_record(engine: ClusteringEngine | None) -> str:
@@ -129,18 +128,20 @@ def _print_trace(
     cfg = engine.config
     lo, hi = qualifying_range(cfg.strictness)
     tag = f"point {dp.seq}" + (f" ({dp.label})" if dp.label else "")
-    print(
+    lines = [
         f"[trace] {tag}: band [{_fmt2(lo)}, {_fmt2(hi)}], "
-        f"needs {engine.should_match} of {cfg.n_features}",
-        file=sys.stderr,
-    )
+        f"needs {engine.should_match} of {cfg.n_features}"
+    ]
     for row, profile in zip(rows, outcome.profiles):
-        sims = " ".join(_sim_text(v) for v in row)
+        sims = " ".join([_sim_text(v) for v in row])
         extra = f"  matched {profile.matched_count}"
         if profile.qualifying_avg is not None:
             extra += f"  avg {_fmt2(profile.qualifying_avg)}"
-        print(f"[trace]   C{profile.cluster_id}: {sims}{extra}", file=sys.stderr)
-    print(f"[trace]   -> {_decision_text(outcome)}", file=sys.stderr)
+        lines.append(f"[trace]   C{profile.cluster_id}: {sims}{extra}")
+    lines.append(f"[trace]   -> {_decision_text(outcome)}\n")
+    # one write per point: stderr is line-buffered, so print() per row is a
+    # system call per row
+    sys.stderr.write("\n".join(lines))
 
 
 def _cluster_stream(

@@ -173,7 +173,6 @@ class ClusteringEngine:
             cid = self._create(f, dp.seq)
             created = True
             path = DecisionPath.EMPTY_LIST_NEW_CLUSTER
-            winner_profile = None
         else:
             if qualified_ids.size == 1:
                 widx = int(qualified_ids[0])
@@ -187,16 +186,17 @@ class ClusteringEngine:
                 else:
                     widx = self._break_tie(tied, sims, band)
                     path = DecisionPath.AVG_TIEBREAK
-            winner_profile = self._profile(widx, sims, band, matched)
             self._join(widx, f, dp.seq)
             cid = widx + 1
             created = False
 
-        profiles = None
+        profiles = winner_profile = None
         if record_profiles:
-            profiles = tuple(self._profile(i, sims, band, matched) for i in range(k))
-            if winner_profile is not None:
-                winner_profile = profiles[cid - 1]
+            profiles = self._profiles(sims, band, matched)
+            if not created:
+                winner_profile = profiles[widx]
+        elif not created:
+            winner_profile = self._profile(widx, sims, band, matched)
         return AssignmentOutcome(
             point_seq=dp.seq,
             assigned_cluster_id=cid,
@@ -282,6 +282,21 @@ class ClusteringEngine:
         count = int(matched[i])
         avg = self._qualifying_avg(sims[i], band[i]) if count else None
         return MatchProfile(cluster_id=i + 1, matched_count=count, qualifying_avg=avg)
+
+    @staticmethod
+    def _profiles(
+        sims: np.ndarray, band: np.ndarray, matched: np.ndarray
+    ) -> tuple[MatchProfile, ...]:
+        # Every row at once, with _qualifying_avg's arithmetic: a left-to-right
+        # running sum over the features, where adding 0.0 for an out-of-band
+        # feature is exact. sum(axis=1) would add rows of 8 or more pairwise.
+        # For the winner's row alone, _profile is the cheaper route.
+        folded = np.where(band, np.where(sims <= 100.0, sims, 200.0 - sims), 0.0)
+        totals = np.add.accumulate(folded, axis=1)[:, -1].tolist()
+        return tuple(
+            MatchProfile(i, int(c), t / c if c else None)
+            for i, (c, t) in enumerate(zip(matched.tolist(), totals), start=1)
+        )
 
 
 def assign(

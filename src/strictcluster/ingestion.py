@@ -22,16 +22,6 @@ from .model import Config, DataPoint, validate_config, validate_point
 
 
 @dataclass(frozen=True, slots=True)
-class InputRecord:
-    """One raw line as read: its 1-based line number, text, and parse result."""
-
-    line_number: int
-    raw: str
-    parsed: tuple[float, ...] | None = None
-    label: str | None = None
-
-
-@dataclass(frozen=True, slots=True)
 class SkippedLine:
     """Diagnostic for a line dropped under on_error=skip."""
 
@@ -52,6 +42,12 @@ def _csv_number(text: str) -> float:
 
 def _parse_csv_fields(line: str) -> list[float]:
     fields = line.split(",")
+    if "_" not in line:
+        # float() ignores the same surrounding whitespace that strip() removes
+        try:
+            return [float(field) for field in fields]
+        except ValueError:
+            pass  # the loop below names the bad column
     values = []
     for col, field in enumerate(fields, start=1):
         text = field.strip()
@@ -164,14 +160,25 @@ class PointStream:
                 if self._fmt == "csv" and self._looks_like_header(text):
                     continue
             try:
-                record = self._parse_record(text, line_number)
-                yield self._validate(record)
+                if self._fmt == "csv":
+                    values, label = _parse_csv_fields(text), None
+                else:
+                    values, label = _parse_jsonl_fields(text)
+                if self.config is None:
+                    # first valid record fixes the dimensionality for the whole run
+                    self.config = validate_config(self._strictness, len(values))
+                point = validate_point(
+                    values, self.config, seq=self._next_seq, label=label
+                )
             except ClusteringError as err:
                 err.line_number = line_number
                 if self._on_error == "halt":
                     raise
                 if self._on_skip is not None:
                     self._on_skip(SkippedLine(line_number, text, err))
+                continue
+            self._next_seq += 1
+            yield point
 
     @staticmethod
     def _looks_like_header(text: str) -> bool:
@@ -181,23 +188,6 @@ class PointStream:
         except ValueError:
             return True
         return False
-
-    def _parse_record(self, text: str, line_number: int) -> InputRecord:
-        if self._fmt == "csv":
-            values, label = _parse_csv_fields(text), None
-        else:
-            values, label = _parse_jsonl_fields(text)
-        return InputRecord(line_number, text, parsed=tuple(values), label=label)
-
-    def _validate(self, record: InputRecord) -> DataPoint:
-        if self.config is None:
-            # first valid record fixes the dimensionality for the whole run
-            self.config = validate_config(self._strictness, len(record.parsed))
-        point = validate_point(
-            record.parsed, self.config, seq=self._next_seq, label=record.label
-        )
-        self._next_seq += 1
-        return point
 
 
 def stream_points(

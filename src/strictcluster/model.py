@@ -64,16 +64,19 @@ def validate_point(
 
     Values must match the configured width and be finite and nonnegative.
     """
-    vals = tuple(float(v) for v in features)
+    vals = tuple(map(float, features))
     if len(vals) != config.n_features:
         raise DimensionMismatch(
             f"expected {config.n_features} features, got {len(vals)}"
         )
-    for j, v in enumerate(vals):
-        if not math.isfinite(v):
-            raise NonFiniteFeature(f"feature {j + 1} is not finite: {v!r}")
-        if v < 0.0:
-            raise NegativeFeature(f"feature {j + 1} is negative: {v!r}")
+    # A finite sum rules out nan and inf. The loop names the first bad
+    # feature, and also accepts a finite vector whose sum overflows.
+    if not (math.isfinite(sum(vals)) and min(vals) >= 0.0):
+        for j, v in enumerate(vals):
+            if not math.isfinite(v):
+                raise NonFiniteFeature(f"feature {j + 1} is not finite: {v!r}")
+            if v < 0.0:
+                raise NegativeFeature(f"feature {j + 1} is negative: {v!r}")
     return DataPoint(seq=seq, features=vals, label=label)
 
 

@@ -2,14 +2,28 @@
 
 import io
 import json
+import random
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from strictcluster.cli import main
+from strictcluster import (
+    AssignmentOutcome,
+    ClusteringEngine,
+    Config,
+    DataPoint,
+    DecisionPath,
+    MatchProfile,
+    feature_similarity,
+    match_profile,
+)
+from strictcluster.cli import _assignment_record, _fmt2, main
 
+from generators import anchored_points
 from golden import GOLDEN_CSV
 
 EXPECTED_CIDS = [1, 2, 1, 3, 3, 2]
@@ -115,6 +129,36 @@ class TestRun:
         assert code == 1
         assert "line 2" in err
         assert len(records_of(out)) == 1  # the valid point before the failure
+
+    def test_halt_leaves_earlier_records_in_the_output_and_no_snapshot(
+        self, tmp_path, capsys
+    ):
+        data = tmp_path / "bad.csv"
+        data.write_text("1,2\n1,2.1\n1,-2\n3,4\n")
+        out, snap = tmp_path / "out.jsonl", tmp_path / "state.snap"
+        code = main(
+            ["run", "--strictness", "60", "--input", str(data), "--output", str(out),
+             "--snapshot-out", str(snap), "--summary"]
+        )
+        _, err = capsys.readouterr()
+        assert code == 1
+        assert "line 3" in err
+        assert [r["seq"] for r in records_of(out.read_text())] == [0, 1]
+        assert not snap.exists()
+
+    def test_no_qualifying_cluster_takes_the_empty_list_path(self, capsys, monkeypatch):
+        # EMPTY_LIST_NEW_CLUSTER whenever nothing qualifies, also with k > 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO("10,10\n100,100\n10.5,10\n"))
+        code = main(["run", "--strictness", "60"])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        first, second, third = out.splitlines()
+        assert json.loads(first)["decision_path"] == "EMPTY_LIST_NEW_CLUSTER"
+        assert second == (
+            '{"kind":"assignment","seq":1,"cluster_id":2,"created_new":true,'
+            '"matched_count":null,"decision_path":"EMPTY_LIST_NEW_CLUSTER","label":null}'
+        )
+        assert json.loads(third)["decision_path"] == "SINGLE_QUALIFIED"
 
     @pytest.mark.parametrize("policy", ["halt", "skip"])
     def test_huge_jsonl_integer_is_a_bad_line(self, policy, tmp_path, capsys):
@@ -285,6 +329,94 @@ class TestUsageErrors:
         assert main(["--help"]) == 0
         out, _ = capsys.readouterr()
         assert "run" in out and "resume" in out and "inspect" in out
+
+
+class TestRendering:
+    @given(
+        st.integers(min_value=0, max_value=10**12),
+        st.integers(min_value=1, max_value=10**6),
+        st.sampled_from(list(DecisionPath)),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=1000)),
+        st.one_of(
+            st.none(),
+            st.text(),
+            st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\n\t", "\u2028", "caf\xe9",
+                             "\U0001f600", "\ud800", "</script>"]),
+        ),
+    )
+    def test_assignment_record_is_the_compact_json_dump(self, seq, cid, path, matched, label):
+        created = matched is None
+        outcome = AssignmentOutcome(
+            point_seq=seq,
+            assigned_cluster_id=cid,
+            created_new=created,
+            decision_path=path,
+            winner_profile=None if created else MatchProfile(cid, matched, 90.0),
+        )
+        rec = {
+            "kind": "assignment",
+            "seq": seq,
+            "cluster_id": cid,
+            "created_new": created,
+            "matched_count": matched,
+            "decision_path": path.value,
+            "label": label,
+        }
+        got = _assignment_record(DataPoint(seq, (1.0,), label), outcome)
+        assert got == json.dumps(rec, separators=(",", ":"))
+
+    def test_trace_matches_a_table_rendered_from_the_scalar_route(self, tmp_path, capsys):
+        # zero-heavy stream: undefined cells (c = 0 < d) and 0/0 cells (= 100)
+        points = anchored_points(
+            random.Random(5), 120, 6, n_anchors=8, zero_rate=0.2, outlier_rate=0.05
+        )
+        data = tmp_path / "zeros.csv"
+        data.write_text("".join(",".join(repr(v) for v in p) + "\n" for p in points))
+        code = main(["run", "--strictness", "60", "--input", str(data), "--trace"])
+        _, err = capsys.readouterr()
+        assert code == 0
+        want, cells = render_trace(points, Config(60.0, 6))
+        assert err == want
+        assert cells["undef"] > 0 and cells["0/0"] > 0
+
+
+DECISIONS = {
+    DecisionPath.EMPTY_LIST_NEW_CLUSTER: "founds C{} (no qualifying cluster)",
+    DecisionPath.SINGLE_QUALIFIED: "joins C{} (only qualifying cluster)",
+    DecisionPath.MAX_MATCHED: "joins C{} (most matched features)",
+    DecisionPath.AVG_TIEBREAK: "joins C{} (matched-count tie, best qualifying average {})",
+}
+
+
+def render_trace(points, config):
+    """The --trace stderr of a run, from feature_similarity and match_profile."""
+    eng = ClusteringEngine(config)
+    lines, cells = [], {"undef": 0, "0/0": 0}
+    band = f"[{_fmt2(config.strictness)}, {_fmt2(200.0 - config.strictness)}]"
+    for seq, p in enumerate(points):
+        dp = DataPoint(seq, tuple(p))
+        lines.append(
+            f"[trace] point {seq}: band {band}, "
+            f"needs {eng.should_match} of {config.n_features}"
+        )
+        profiles = {}
+        for cid in range(1, eng.cluster_count + 1):
+            cluster = eng.cluster(cid)
+            row = []
+            for d, c in zip(dp.features, cluster.centroid()):
+                sim = feature_similarity(d, c)
+                cells["undef"] += sim is None
+                cells["0/0"] += d == c == 0.0
+                row.append("undef" if sim is None else _fmt2(sim))
+            prof = profiles[cid] = match_profile(dp, cluster, config)
+            avg = "" if prof.qualifying_avg is None else f"  avg {_fmt2(prof.qualifying_avg)}"
+            lines.append(f"[trace]   C{cid}: {' '.join(row)}  matched {prof.matched_count}{avg}")
+        outcome = eng.assign(dp, record_profiles=False)
+        cid = outcome.assigned_cluster_id
+        avg = profiles[cid].qualifying_avg if cid in profiles else None
+        decision = DECISIONS[outcome.decision_path].format(cid, None if avg is None else _fmt2(avg))
+        lines.append(f"[trace]   -> {decision}")
+    return "".join(line + "\n" for line in lines), cells
 
 
 class TestSubprocess:

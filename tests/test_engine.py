@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,16 +13,27 @@ from strictcluster import (
     ClusterState,
     Config,
     DataPoint,
+    DecisionPath,
     DimensionMismatch,
     InvariantViolation,
     NegativeFeature,
     assign,
+    feature_similarity,
+    match_profile,
+    qualifies,
     run_stream,
+    scale_above_100,
     should_match_features,
     verify_state,
 )
 
-from generators import anchored_points, integer_points, random_case, uniform_points
+from generators import (
+    anchored_points,
+    integer_points,
+    random_case,
+    throughput_points,
+    uniform_points,
+)
 from golden import (
     GOLDEN_ASSIGNMENTS,
     GOLDEN_CENTROIDS,
@@ -276,6 +288,50 @@ class TestProfileRecording:
             profiles.extend(o.profiles or ())
         assert len(profiles) > (len(outcomes) if record_profiles else 10)
         assert all(type(p.matched_count) is int for p in profiles)
+
+    @pytest.mark.parametrize(
+        "strictness,n,make",
+        [
+            pytest.param(
+                60.0, 10,
+                lambda rng: throughput_points(rng, 300, n_anchors=100, outlier_rate=0.04),
+                id="tie-heavy-n10",
+            ),
+            pytest.param(
+                60.0, 8,
+                lambda rng: anchored_points(
+                    rng, 300, 8, n_anchors=40, zero_rate=0.2, outlier_rate=0.05
+                ),
+                id="zero-heavy-n8",
+            ),
+            pytest.param(
+                75.0, 5, lambda rng: integer_points(rng, 300, 5, hi=4), id="integer-n5"
+            ),
+        ],
+    )
+    def test_profiles_equal_the_scalar_match_profile(self, strictness, n, make):
+        # all profiles of one point come from one vectorised pass; each must
+        # be the scalar route's, qualifying_avg bit for bit
+        config = Config(strictness, n)
+        eng = ClusteringEngine(config)
+        tiebreaks = pairwise_differs = 0
+        for seq, p in enumerate(make(random.Random(31))):
+            dp = DataPoint(seq, tuple(p))
+            clusters = [eng.cluster(cid) for cid in range(1, eng.cluster_count + 1)]
+            want = tuple(match_profile(dp, c, config) for c in clusters)
+            outcome = eng.assign(dp, record_profiles=True)
+            assert outcome.profiles == want
+            tiebreaks += outcome.decision_path is DecisionPath.AVG_TIEBREAK
+            for c in clusters:
+                folded = [scale_above_100(v) if qualifies(v, strictness) else 0.0
+                          for v in map(feature_similarity, dp.features, c.centroid())]
+                total = 0.0
+                for v in folded:
+                    total += v
+                pairwise_differs += float(np.sum(folded)) != total
+        assert tiebreaks > 0
+        if n >= 8:  # numpy sums 8 or more values pairwise
+            assert pairwise_differs > 0
 
 
 class TestOrderSensitivity:

@@ -17,6 +17,7 @@ from strictcluster import (
     stream_points,
     to_csv_line,
 )
+from strictcluster.ingestion import _parse_csv_fields
 
 CFG2 = Config(60.0, 2)
 CFG3 = Config(60.0, 3)
@@ -72,6 +73,51 @@ class TestCsvLine:
         dp = parse_csv_line(line, cfg)
         assert dp.features == tuple(values)
         assert parse_csv_line(to_csv_line(dp), cfg).features == dp.features
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["", " ", "\t", " \t", "\x0b", "\x0c", "\xa0", "\u3000"]),
+                st.one_of(
+                    st.floats().map(repr),
+                    st.integers(min_value=0, max_value=10**6).map(str),
+                    st.sampled_from(
+                        ["", "nan", "inf", "-inf", "Infinity", "1_0", "2e1_0", "1e",
+                         "x", "feature_1", "id", "+.5", "1 2", "\u0663"]
+                    ),
+                ),
+                st.sampled_from(["", " ", "\t", "\t ", "\xa0"]),
+            ).map("".join),
+            min_size=1,
+            max_size=6,
+        ),
+        st.booleans(),
+    )
+    def test_whole_line_parse_agrees_with_per_field_parse(self, fields, trailing_comma):
+        # a line without "_" is parsed in one float() pass; the values, or
+        # the error and its column, must be those of the per-field parse
+        line = ",".join(fields) + ("," if trailing_comma else "")
+        outcomes = []
+        for parse in (_parse_csv_fields, per_field_parse):
+            try:
+                outcomes.append([repr(v) for v in parse(line)])
+            except ParseError as err:
+                outcomes.append((str(err), err.column))
+        assert outcomes[0] == outcomes[1]
+
+
+def per_field_parse(line):
+    """CSV fields parsed one at a time: the reference for the one-pass parse."""
+    values = []
+    for col, field in enumerate(line.split(","), start=1):
+        text = field.strip()
+        try:
+            if "_" in text:
+                raise ValueError(text)
+            values.append(float(text))
+        except ValueError:
+            raise ParseError(f"column {col}: {text!r} is not a number", column=col) from None
+    return values
 
 
 class TestJsonlLine:

@@ -89,6 +89,49 @@ class TestValidatePoint:
         dp = validate_point(values, Config(60.0, len(values)))
         assert dp.features == tuple(values)
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(),
+                st.sampled_from(
+                    [-0.0, 0.0, 1e308, 1.7e308, -1e-300, math.nan, math.inf, -math.inf]
+                ),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.booleans(),
+    )
+    def test_agrees_with_a_per_value_check(self, values, wrong_width):
+        # the accept-at-once route (finite sum, nonnegative min) must give the
+        # same point, or the same error for the same first bad feature
+        config = Config(60.0, len(values) + wrong_width)
+        outcomes = []
+        for validate in (validate_point, per_value_validate_point):
+            try:
+                dp = validate(values, config, seq=3, label="x")
+                outcomes.append((dp.seq, dp.label, [repr(v) for v in dp.features]))
+            except (DimensionMismatch, NonFiniteFeature, NegativeFeature) as err:
+                outcomes.append((type(err), str(err)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_finite_vector_whose_sum_overflows_is_valid(self):
+        dp = validate_point([1e308, 1e308], Config(60.0, 2))
+        assert dp.features == (1e308, 1e308)
+
+
+def per_value_validate_point(features, config, seq=0, label=None):
+    """validate_point checking one value at a time: the reference."""
+    vals = tuple(float(v) for v in features)
+    if len(vals) != config.n_features:
+        raise DimensionMismatch(f"expected {config.n_features} features, got {len(vals)}")
+    for j, v in enumerate(vals):
+        if not math.isfinite(v):
+            raise NonFiniteFeature(f"feature {j + 1} is not finite: {v!r}")
+        if v < 0.0:
+            raise NegativeFeature(f"feature {j + 1} is negative: {v!r}")
+    return DataPoint(seq=seq, features=vals, label=label)
+
 
 class TestCluster:
     def test_centroid_is_sums_over_count(self):
