@@ -18,6 +18,7 @@ from .errors import (
     ChecksumMismatch,
     ClusteringError,
     DimensionMismatch,
+    FeatureSumOverflow,
     InvariantViolation,
     NegativeFeature,
     NonFiniteFeature,
@@ -75,6 +76,7 @@ __all__ = [
     "DataPoint",
     "DecisionPath",
     "DimensionMismatch",
+    "FeatureSumOverflow",
     "InvariantViolation",
     "MatchProfile",
     "NegativeFeature",

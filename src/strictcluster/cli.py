@@ -167,7 +167,11 @@ def _cluster_stream(
         do_trace = args.trace and traced < TRACE_LIMIT
         # Tables must reflect the pre-insertion state, so compute them first.
         rows = _sim_rows(engine, dp) if do_trace else None
-        outcome = engine.assign(dp, record_profiles=do_trace)
+        try:
+            outcome = engine.assign(dp, record_profiles=do_trace)
+        except ClusteringError as err:
+            err.line_number = stream.line_number
+            raise
         if do_trace:
             _print_trace(engine, dp, rows, outcome)
             traced += 1

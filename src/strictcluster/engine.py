@@ -10,12 +10,17 @@ sums divided by member count.
 The per-cluster scan is vectorized with numpy, but every arithmetic step
 mirrors the scalar definitions in :mod:`strictcluster.similarity` operation
 for operation, so results are bit-identical to a plain-Python evaluation.
-The per-row matched count is a float matrix-vector product of the band
-matrix with a vector of ones. It is exact: every term is 0.0 or 1.0, so
-each partial sum is a small integer that float64 holds exactly, whatever
-order or thread split the BLAS uses. Zero centroid features need no
-tracked state: only a point's own zero features can meet a zero centroid
-feature as 0/0, so only those columns are fixed up.
+Centroids are stored feature-major, one contiguous row of length k per
+feature, so the scan divides n long rows rather than k rows of n. The
+per-cluster matched count is a column sum of the band matrix viewed as
+uint8, in the smallest unsigned type that holds n. It is exact: each count
+is an integer of at most n, which that type holds, so no sum can wrap.
+Zero centroid features need no tracked state: only a point's own zero
+features can meet a zero centroid feature as 0/0, so only those rows are
+fixed up. The feature sums stay row-major, one row per cluster, as
+:meth:`ClusteringEngine.state` and snapshots read them. A point that would
+drive a feature sum past the largest float is rejected before any state
+changes.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantViolation
+from .errors import DimensionMismatch, FeatureSumOverflow, InvariantViolation
 from .model import (
     AssignmentOutcome,
     Cluster,
@@ -68,13 +73,14 @@ class ClusteringEngine:
         self._n = config.n_features
         self._lo, self._hi = qualifying_range(config.strictness)
         self._need = should_match_features(config)
-        self._ones = np.ones(self._n, dtype=np.float64)
+        self._count_type = np.min_scalar_type(self._n)
         self._k = 0
         self._points_seen = 0
         cap = _INITIAL_CAPACITY
         self._sums = np.zeros((cap, self._n), dtype=np.float64)
-        self._counts = np.zeros(cap, dtype=np.int64)
-        self._centroids = np.zeros((cap, self._n), dtype=np.float64)
+        self._counts: list[int] = []
+        # feature-major: column i is cluster i's centroid
+        self._cents = np.zeros((self._n, cap), dtype=np.float64)
         self._members: list[list[int]] = []
 
     @classmethod
@@ -85,8 +91,8 @@ class ClusteringEngine:
         eng._ensure_capacity(k)
         for i, cl in enumerate(state.clusters):
             eng._sums[i] = cl.feature_sums
-            eng._counts[i] = cl.member_count
-            eng._centroids[i] = eng._sums[i] / cl.member_count
+            eng._counts.append(cl.member_count)
+            eng._cents[:, i] = eng._sums[i] / cl.member_count
             eng._members.append(list(cl.member_seqs))
         eng._k = k
         eng._points_seen = state.points_seen
@@ -106,7 +112,7 @@ class ClusteringEngine:
 
     def centroids(self) -> np.ndarray:
         """Copy of the current centroid matrix, one row per cluster in id order."""
-        return self._centroids[: self._k].copy()
+        return self._cents[:, : self._k].T.copy()
 
     def cluster(self, cluster_id: int) -> Cluster:
         """Materialize one cluster as an immutable value."""
@@ -115,7 +121,7 @@ class ClusteringEngine:
             raise InvariantViolation(f"no cluster with id {cluster_id}")
         return Cluster(
             id=cluster_id,
-            member_count=int(self._counts[i]),
+            member_count=self._counts[i],
             feature_sums=tuple(self._sums[i].tolist()),
             member_seqs=tuple(self._members[i]),
         )
@@ -155,26 +161,27 @@ class ClusteringEngine:
             )
 
         # Score against every cluster as the state stood before this point.
-        cents = self._centroids[:k]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sims = (100.0 * f) / cents
-        # zero centroid feature: an exactly-zero point value is identical
-        # (similarity 100, fixed up here from the nan of 0/0); a positive one
-        # is undefined and the inf left by the division never falls inside
-        # the band.
-        for j in (f == 0.0).nonzero()[0]:
-            col = sims[:, j]
-            col[cents[:, j] == 0.0] = 100.0
-        band = (sims >= self._lo) & (sims <= self._hi)
-        matched = band @ self._ones
-        qualified_ids = (matched >= self._need).nonzero()[0]
+        cents = self._cents[:, :k]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sims = (100.0 * f)[:, None] / cents
+            # zero centroid feature: an exactly-zero point value is identical
+            # (similarity 100, fixed up here from the nan of 0/0); a positive
+            # one is undefined and the inf left by the division never falls
+            # inside the band. `in` compares with ==, so -0.0 counts as zero.
+            if 0.0 in dp.features:
+                for j in (f == 0.0).nonzero()[0]:
+                    row = sims[j]
+                    row[cents[j] == 0.0] = 100.0
+            band = (sims >= self._lo) & (sims <= self._hi)
+            matched = np.add.reduce(
+                band.view(np.uint8), axis=0, dtype=self._count_type
+            )
+            qualified_ids = (matched >= self._need).nonzero()[0]
 
-        if qualified_ids.size == 0:
-            cid = self._create(f, dp.seq)
-            created = True
-            path = DecisionPath.EMPTY_LIST_NEW_CLUSTER
-        else:
-            if qualified_ids.size == 1:
+            if qualified_ids.size == 0:
+                widx = -1
+                path = DecisionPath.EMPTY_LIST_NEW_CLUSTER
+            elif qualified_ids.size == 1:
                 widx = int(qualified_ids[0])
                 path = DecisionPath.SINGLE_QUALIFIED
             else:
@@ -186,9 +193,21 @@ class ClusteringEngine:
                 else:
                     widx = self._break_tie(tied, sims, band)
                     path = DecisionPath.AVG_TIEBREAK
-            self._join(widx, f, dp.seq)
+            if widx >= 0:
+                total = self._sums[widx] + f
+
+        created = widx < 0
+        if created:
+            cid = self._create(f, dp.seq)
+        # sums and features are finite and >= 0, so an overflow is +inf
+        elif math.inf in total.tolist():
+            raise FeatureSumOverflow(
+                f"point seq {dp.seq} would overflow a feature sum of "
+                f"cluster {widx + 1} past the largest float"
+            )
+        else:
+            self._join(widx, total, dp.seq)
             cid = widx + 1
-            created = False
 
         profiles = winner_profile = None
         if record_profiles:
@@ -228,30 +247,28 @@ class ClusteringEngine:
         if k <= cap:
             return
         new_cap = max(cap * 2, k)
-        for name in ("_sums", "_centroids"):
-            old = getattr(self, name)
-            grown = np.zeros((new_cap, self._n), dtype=np.float64)
-            grown[:cap] = old
-            setattr(self, name, grown)
-        counts = np.zeros(new_cap, dtype=np.int64)
-        counts[:cap] = self._counts
-        self._counts = counts
+        sums = np.zeros((new_cap, self._n), dtype=np.float64)
+        sums[:cap] = self._sums
+        self._sums = sums
+        cents = np.zeros((self._n, new_cap), dtype=np.float64)
+        cents[:, :cap] = self._cents
+        self._cents = cents
 
     def _create(self, f: np.ndarray, seq: int) -> int:
         i = self._k
         self._ensure_capacity(i + 1)
         self._sums[i] = f
-        self._counts[i] = 1
-        self._centroids[i] = f
+        self._counts.append(1)
+        self._cents[:, i] = f
         self._members.append([seq])
         self._k = i + 1
         self._points_seen += 1
         return i + 1
 
-    def _join(self, i: int, f: np.ndarray, seq: int) -> None:
-        self._sums[i] += f
+    def _join(self, i: int, total: np.ndarray, seq: int) -> None:
+        self._sums[i] = total
         self._counts[i] += 1
-        self._centroids[i] = self._sums[i] / self._counts[i]
+        self._cents[:, i] = total / self._counts[i]
         self._members[i].append(seq)
         self._points_seen += 1
 
@@ -270,7 +287,7 @@ class ClusteringEngine:
         best_avg = -1.0
         best = int(tied[0])
         for i in tied.tolist():
-            avg = self._qualifying_avg(sims[i], band[i])
+            avg = self._qualifying_avg(sims[:, i], band[:, i])
             if avg > best_avg:
                 best_avg = avg
                 best = i
@@ -280,19 +297,19 @@ class ClusteringEngine:
         self, i: int, sims: np.ndarray, band: np.ndarray, matched: np.ndarray
     ) -> MatchProfile:
         count = int(matched[i])
-        avg = self._qualifying_avg(sims[i], band[i]) if count else None
+        avg = self._qualifying_avg(sims[:, i], band[:, i]) if count else None
         return MatchProfile(cluster_id=i + 1, matched_count=count, qualifying_avg=avg)
 
     @staticmethod
     def _profiles(
         sims: np.ndarray, band: np.ndarray, matched: np.ndarray
     ) -> tuple[MatchProfile, ...]:
-        # Every row at once, with _qualifying_avg's arithmetic: a left-to-right
-        # running sum over the features, where adding 0.0 for an out-of-band
-        # feature is exact. sum(axis=1) would add rows of 8 or more pairwise.
-        # For the winner's row alone, _profile is the cheaper route.
+        # Every cluster at once, with _qualifying_avg's arithmetic: a
+        # left-to-right running sum over the features, where adding 0.0 for an
+        # out-of-band feature is exact. A plain sum may add pairwise. For the
+        # winner's column alone, _profile is the cheaper route.
         folded = np.where(band, np.where(sims <= 100.0, sims, 200.0 - sims), 0.0)
-        totals = np.add.accumulate(folded, axis=1)[:, -1].tolist()
+        totals = np.add.accumulate(folded, axis=0)[-1].tolist()
         return tuple(
             MatchProfile(i, int(c), t / c if c else None)
             for i, (c, t) in enumerate(zip(matched.tolist(), totals), start=1)

@@ -33,6 +33,10 @@ class NonFiniteFeature(ClusteringError):
     """Feature values must be finite (no NaN or infinity)."""
 
 
+class FeatureSumOverflow(ClusteringError):
+    """A point would drive a cluster's feature sum past the largest float."""
+
+
 class ParseError(ClusteringError):
     """A line of input text could not be parsed into a feature vector."""
 

@@ -76,6 +76,20 @@ def _parse_jsonl_fields(line: str) -> tuple[list[float], str | None]:
     feats = obj["features"]
     if not isinstance(feats, list):
         raise ParseError('"features" must be an array of numbers')
+    values = _jsonl_numbers(feats)
+    label = obj.get("id")
+    if label is not None and not isinstance(label, str):
+        raise ParseError('"id" must be a string when present')
+    return values, label
+
+
+def _jsonl_numbers(feats: list) -> list[float]:
+    # type() rather than isinstance(): bool is an int subclass but not a number
+    if set(map(type, feats)) <= {float, int}:
+        try:
+            return list(map(float, feats))
+        except OverflowError:
+            pass  # the loop below names the column
     values = []
     for col, v in enumerate(feats, start=1):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -86,10 +100,7 @@ def _parse_jsonl_fields(line: str) -> tuple[list[float], str | None]:
             raise ParseError(
                 f'"features"[{col}]: integer too large for a float', column=col
             ) from None
-    label = obj.get("id")
-    if label is not None and not isinstance(label, str):
-        raise ParseError('"id" must be a string when present')
-    return values, label
+    return values
 
 
 def parse_csv_line(line: str, config: Config, seq: int = 0) -> DataPoint:
@@ -119,6 +130,7 @@ class PointStream:
     When ``config`` is None, the feature width is inferred from the first
     valid record and combined with ``strictness`` into a Config, available
     as ``.config`` from then on; every later record must agree with it.
+    ``.line_number`` is the input line of the point yielded last.
 
     on_error="halt" raises at the first bad line (the exception carries the
     line number); "skip" reports the line through ``on_skip`` and continues.
@@ -148,6 +160,7 @@ class PointStream:
         self._on_error = on_error
         self._on_skip = on_skip
         self._next_seq = start_seq
+        self.line_number: int | None = None
 
     def __iter__(self) -> Iterator[DataPoint]:
         saw_content = False
@@ -178,6 +191,7 @@ class PointStream:
                     self._on_skip(SkippedLine(line_number, text, err))
                 continue
             self._next_seq += 1
+            self.line_number = line_number
             yield point
 
     @staticmethod

@@ -146,6 +146,28 @@ class TestRun:
         assert [r["seq"] for r in records_of(out.read_text())] == [0, 1]
         assert not snap.exists()
 
+    @pytest.mark.parametrize("policy", ["halt", "skip"])
+    def test_feature_sum_overflow_exits_one_before_the_state_goes_bad(
+        self, policy, tmp_path, capsys
+    ):
+        # the 180th 1e306 would take the sum past the largest float; the
+        # blank first line puts that point on line 181
+        data = tmp_path / "big.csv"
+        data.write_text("\n" + "1e306,1\n" * 200)
+        out, snap = tmp_path / "out.jsonl", tmp_path / "state.snap"
+        code = main(
+            ["run", "--strictness", "50", "--input", str(data), "--output", str(out),
+             "--snapshot-out", str(snap), "--summary", "--on-error", policy]
+        )
+        _, err = capsys.readouterr()
+        assert code == 1
+        assert err == (
+            "strictcluster: error: line 181: point seq 179 would overflow a "
+            "feature sum of cluster 1 past the largest float\n"
+        )
+        assert [r["seq"] for r in records_of(out.read_text())] == list(range(179))
+        assert not snap.exists()
+
     def test_no_qualifying_cluster_takes_the_empty_list_path(self, capsys, monkeypatch):
         # EMPTY_LIST_NEW_CLUSTER whenever nothing qualifies, also with k > 0
         monkeypatch.setattr(sys, "stdin", io.StringIO("10,10\n100,100\n10.5,10\n"))

@@ -1,6 +1,7 @@
 """Engine behavior: the six-point example, dispatch branches, exactness."""
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from strictcluster import (
     DataPoint,
     DecisionPath,
     DimensionMismatch,
+    FeatureSumOverflow,
     InvariantViolation,
     NegativeFeature,
     assign,
@@ -231,6 +233,32 @@ class TestStreamDiscipline:
         assert all(o.created_new for o in outcomes)
         verify_state(state, points)
 
+    def test_sum_overflow_rejects_the_point_and_keeps_the_state(self):
+        eng = ClusteringEngine(Config(50.0, 2))
+        for _ in range(179):
+            eng.assign([1e306, 1.0])
+        before = eng.state()
+        cents = eng.centroids()
+        with pytest.raises(FeatureSumOverflow, match="seq 179"):
+            eng.assign([1e306, 1.0])
+        assert eng.state() == before
+        assert eng.centroids().tobytes() == cents.tobytes()
+        # the rejected point took no seq: the stream continues from it
+        outcome = eng.assign([1.0, 1.0])
+        assert outcome.point_seq == 179
+        assert eng.cluster(outcome.assigned_cluster_id).member_seqs[-1] == 179
+
+    def test_overflowing_similarity_warns_nothing(self):
+        # 100 * 1e307 is inf: that feature never matches, and no numpy
+        # RuntimeWarning escapes; the point still joins on the other feature
+        eng = ClusteringEngine(Config(50.0, 2))
+        eng.assign([1e308, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = eng.assign([1e307, 1.0])
+        assert outcome.assigned_cluster_id == 1
+        assert outcome.winner_profile.matched_count == 1
+
 
 class TestStateRoundTrip:
     def test_from_state_reproduces_the_state(self):
@@ -379,17 +407,39 @@ class TestAgainstNaiveReference:
         return state
 
     def test_large_state_agrees_exactly(self):
-        # k * n passes 10,000, where the BLAS may split the match count
-        # across threads; the counts must still be exact integers
+        # k * n passes 10,000: a state far past the initial capacity, grown
+        # many times, must still score every cluster exactly
         points = uniform_points(random.Random(1200), 1200, 10)
         state = self.assert_agrees(90.0, 10, points)
         assert len(state.clusters) * 10 > 10_000
 
+    @pytest.mark.parametrize("strictness", [90.0, 50.0])
+    def test_wide_points_need_a_wider_count_type(self, strictness):
+        # n = 300: a matched count can pass 255, which a uint8 count would wrap
+        rng = random.Random(300)
+        points = anchored_points(rng, 120, 300, n_anchors=4, spread=0.04, outlier_rate=0.1)
+        state = self.assert_agrees(strictness, 300, points)
+        assert len(state.clusters) > 1
+        assert max(c.member_count for c in state.clusters) > 1
+        _, outcomes = run_stream(Config(strictness, 300), points, record_profiles=False)
+        counts = [o.winner_profile.matched_count for o in outcomes if not o.created_new]
+        assert max(counts) > 255
+
     def test_zero_heavy_streams_agree_exactly(self):
+        self.assert_zero_heavy_streams_agree(0.0)
+
+    def test_zero_heavy_streams_with_negative_zeros_agree_exactly(self):
+        self.assert_zero_heavy_streams_agree(-0.0)
+
+    def assert_zero_heavy_streams_agree(self, zero):
         rng = random.Random(20)
         streams = [
             (60.0, 6, anchored_points(rng, 200, 6, n_anchors=6, zero_rate=0.2, outlier_rate=0.05)),
             (75.0, 5, integer_points(rng, 200, 5, hi=4)),
+        ]
+        streams = [
+            (strictness, n, [[zero if v == 0.0 else v for v in p] for p in points])
+            for strictness, n, points in streams
         ]
         cases = set()  # (point value is zero, centroid value is zero) pairs met
         for strictness, n, points in streams:

@@ -1,6 +1,7 @@
 """Parsing and stream-validation tests for the CSV and JSONL readers."""
 
 import io
+import json
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,7 @@ from strictcluster import (
     stream_points,
     to_csv_line,
 )
-from strictcluster.ingestion import _parse_csv_fields
+from strictcluster.ingestion import _parse_csv_fields, _parse_jsonl_fields
 
 CFG2 = Config(60.0, 2)
 CFG3 = Config(60.0, 3)
@@ -160,11 +161,52 @@ class TestJsonlLine:
             parse_jsonl_line(line, CFG2)
         assert fragment in str(exc.value)
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.integers(min_value=-(10**6), max_value=10**6),
+                st.integers(min_value=10**308, max_value=10**400),
+                st.booleans(),
+                st.none(),
+                st.text(max_size=3),
+                st.lists(st.integers(), max_size=2),
+            ),
+            max_size=6,
+        )
+    )
+    def test_one_pass_features_agree_with_per_value_parse(self, feats):
+        # an all-number array is converted in one map(float) pass; the values,
+        # or the error and its column, must be those of the per-value parse
+        line = json.dumps({"features": feats})
+        outcomes = []
+        for parse in (lambda text: _parse_jsonl_fields(text)[0], per_value_parse):
+            try:
+                outcomes.append([repr(v) for v in parse(line)])
+            except ParseError as err:
+                outcomes.append((str(err), err.column))
+        assert outcomes[0] == outcomes[1]
+
     def test_validation_still_applies(self):
         with pytest.raises(DimensionMismatch):
             parse_jsonl_line('{"features": [1]}', CFG2)
         with pytest.raises(NegativeFeature):
             parse_jsonl_line('{"features": [1, -2]}', CFG2)
+
+
+def per_value_parse(line):
+    """JSONL features converted one at a time: the reference for the one-pass parse."""
+    values = []
+    for col, v in enumerate(json.loads(line)["features"], start=1):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ParseError(f'"features"[{col}]: {v!r} is not a number', column=col)
+        try:
+            values.append(float(v))
+        except OverflowError:
+            raise ParseError(
+                f'"features"[{col}]: integer too large for a float', column=col
+            ) from None
+    return values
 
 
 def collect(stream):
