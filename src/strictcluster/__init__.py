@@ -8,8 +8,6 @@ the engine, stream ingestion, snapshot persistence, and a CLI wrapper.
 
 from .engine import (
     ClusteringEngine,
-    assign,
-    centroid,
     run_stream,
     should_match_features,
 )
@@ -31,10 +29,6 @@ from .errors import (
 from .ingestion import (
     PointStream,
     SkippedLine,
-    parse_csv_line,
-    parse_jsonl_line,
-    stream_points,
-    to_csv_line,
 )
 from .model import (
     AssignmentOutcome,
@@ -56,10 +50,7 @@ from .persistence import (
 )
 from .similarity import (
     feature_similarity,
-    match_profile,
-    qualifies,
     qualifying_range,
-    scale_above_100,
 )
 
 __version__ = "0.1.0"
@@ -90,21 +81,12 @@ __all__ = [
     "SnapshotFormatError",
     "StrictnessOutOfRange",
     "VersionUnsupported",
-    "assign",
-    "centroid",
     "feature_similarity",
     "load_snapshot",
-    "match_profile",
-    "parse_csv_line",
-    "parse_jsonl_line",
-    "qualifies",
     "qualifying_range",
     "run_stream",
     "save_snapshot",
-    "scale_above_100",
     "should_match_features",
-    "stream_points",
-    "to_csv_line",
     "validate_config",
     "validate_point",
     "verify_state",

@@ -184,13 +184,17 @@ def _cluster_stream(
     return engine
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    # Surface a bad strictness before reading anything (the width placeholder
-    # is irrelevant; only the range check matters here).
-    validate_config(args.strictness, 1)
+def cmd_cluster(args: argparse.Namespace) -> int:
+    """``run`` and ``resume``: they differ only in how the engine starts."""
     engine: ClusteringEngine | None = None
+    if args.command == "resume":
+        engine = ClusteringEngine.from_state(load_snapshot(args.snapshot_in))
+    else:
+        # Surface a bad strictness before reading anything (the width
+        # placeholder is irrelevant; only the range check matters here).
+        validate_config(args.strictness, 1)
     with _open_input(args.input) as source, _open_output(args.output) as out:
-        engine = _cluster_stream(args, None, source, out)
+        engine = _cluster_stream(args, engine, source, out)
         if args.summary:
             out.write(_summary_record(engine) + "\n")
     if args.snapshot_out:
@@ -202,17 +206,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         else:
             save_snapshot(engine.state(), args.snapshot_out)
-    return 0
-
-
-def cmd_resume(args: argparse.Namespace) -> int:
-    engine = ClusteringEngine.from_state(load_snapshot(args.snapshot_in))
-    with _open_input(args.input) as source, _open_output(args.output) as out:
-        engine = _cluster_stream(args, engine, source, out)
-        if args.summary:
-            out.write(_summary_record(engine) + "\n")
-    if args.snapshot_out:
-        save_snapshot(engine.state(), args.snapshot_out)
     return 0
 
 
@@ -280,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="qualifying percentage, 0 < s <= 100",
     )
     add_io(p_run)
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_cluster)
 
     p_resume = sub.add_parser(
         "resume", help="continue from a snapshot (strictness comes from it)"
@@ -289,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--snapshot-in", required=True, metavar="PATH", help="snapshot to continue from"
     )
     add_io(p_resume)
-    p_resume.set_defaults(func=cmd_resume)
+    p_resume.set_defaults(func=cmd_cluster)
 
     p_inspect = sub.add_parser(
         "inspect", help="print a snapshot's config and clusters"

@@ -8,8 +8,9 @@ a new cluster when the list is empty. Centroids are maintained as running
 sums divided by member count.
 
 The per-cluster scan is vectorized with numpy, but every arithmetic step
-mirrors the scalar definitions in :mod:`strictcluster.similarity` operation
-for operation, so results are bit-identical to a plain-Python evaluation.
+mirrors :func:`strictcluster.similarity.feature_similarity` and the band
+check operation for operation, so results are bit-identical to a
+plain-Python evaluation.
 Centroids are stored feature-major, one contiguous row of length k per
 feature, so the scan divides n long rows rather than k rows of n. The
 per-cluster matched count is a column sum of the band matrix viewed as
@@ -54,11 +55,6 @@ def should_match_features(config: Config) -> int:
     push a float product such as 7.000000000000001 past the next integer.
     """
     return math.ceil(Fraction(config.strictness) * config.n_features / 100)
-
-
-def centroid(cluster: Cluster) -> tuple[float, ...]:
-    """Per-feature mean of the cluster's members."""
-    return cluster.centroid()
 
 
 class ClusteringEngine:
@@ -273,8 +269,8 @@ class ClusteringEngine:
         self._points_seen += 1
 
     def _qualifying_avg(self, sim_row: np.ndarray, band_row: np.ndarray) -> float:
-        # Plain sequential sum in feature order: identical arithmetic to the
-        # scalar path in similarity.match_profile.
+        # Plain sequential sum in feature order: identical arithmetic to a
+        # scalar loop over the features.
         total = 0.0
         vals = sim_row[band_row].tolist()
         for v in vals:
@@ -314,18 +310,6 @@ class ClusteringEngine:
             MatchProfile(i, int(c), t / c if c else None)
             for i, (c, t) in enumerate(zip(matched.tolist(), totals), start=1)
         )
-
-
-def assign(
-    state: ClusterState,
-    point: DataPoint | Sequence[float],
-    *,
-    record_profiles: bool = True,
-) -> tuple[ClusterState, AssignmentOutcome]:
-    """Pure-value form of one assignment step: state in, new state out."""
-    eng = ClusteringEngine.from_state(state)
-    outcome = eng.assign(point, record_profiles=record_profiles)
-    return eng.state(), outcome
 
 
 def run_stream(

@@ -103,22 +103,6 @@ def _jsonl_numbers(feats: list) -> list[float]:
     return values
 
 
-def parse_csv_line(line: str, config: Config, seq: int = 0) -> DataPoint:
-    """Parse one CSV row of decimal reals and validate it against the config."""
-    return validate_point(_parse_csv_fields(line), config, seq=seq)
-
-
-def parse_jsonl_line(line: str, config: Config, seq: int = 0) -> DataPoint:
-    """Parse one JSONL object and validate it against the config."""
-    values, label = _parse_jsonl_fields(line)
-    return validate_point(values, config, seq=seq, label=label)
-
-
-def to_csv_line(point: DataPoint) -> str:
-    """Serialize a point's features as a CSV row that re-parses exactly."""
-    return ",".join(repr(v) for v in point.features)
-
-
 def _text_lines(source: IO[str] | IO[bytes]) -> Iterator[str]:
     for raw in source:
         yield raw.decode("utf-8") if isinstance(raw, bytes) else raw
@@ -203,24 +187,3 @@ class PointStream:
             return True
         return False
 
-
-def stream_points(
-    source: IO[str] | IO[bytes],
-    fmt: str,
-    config: Config,
-    *,
-    on_error: str = "halt",
-    on_skip: Callable[[SkippedLine], None] | None = None,
-    start_seq: int = 0,
-) -> Iterator[DataPoint]:
-    """Yield the valid points of ``source`` in input order."""
-    return iter(
-        PointStream(
-            source,
-            fmt,
-            config,
-            on_error=on_error,
-            on_skip=on_skip,
-            start_seq=start_seq,
-        )
-    )

@@ -9,9 +9,6 @@ so equal amounts of undershoot and overshoot are treated alike.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch
-from .model import Cluster, Config, DataPoint, MatchProfile
-
 
 def feature_similarity(datapoint_value: float, centroid_value: float) -> float | None:
     """Similarity percent of a point feature against a centroid feature.
@@ -28,53 +25,3 @@ def feature_similarity(datapoint_value: float, centroid_value: float) -> float |
 def qualifying_range(strictness: float) -> tuple[float, float]:
     """Inclusive similarity band for a matched feature: (strictness, 200 - strictness)."""
     return strictness, 200.0 - strictness
-
-
-def qualifies(similarity: float | None, strictness: float) -> bool:
-    """Whether a similarity value falls inside the qualifying band.
-
-    Comparisons are exact: both endpoints are inclusive and no epsilon is
-    applied, so inputs that land near a boundary are sensitive to rounding.
-    """
-    if similarity is None:
-        return False
-    lo, hi = qualifying_range(strictness)
-    return lo <= similarity <= hi
-
-
-def scale_above_100(similarity: float) -> float:
-    """Fold overshoot back under 100: values v > 100 become 200 - v.
-
-    After scaling, similarities of 60 and 140 compare as equally close to
-    the centroid, which is what the tie-break average relies on.
-    """
-    return similarity if similarity <= 100.0 else 200.0 - similarity
-
-
-def match_profile(point: DataPoint, cluster: Cluster, config: Config) -> MatchProfile:
-    """Evaluate one point against one cluster.
-
-    Counts the qualifying features and averages their scaled similarities;
-    the average is None when no feature qualifies. Only qualifying
-    similarities enter the average.
-    """
-    if len(point.features) != config.n_features:
-        raise DimensionMismatch(
-            f"point has {len(point.features)} features, config expects {config.n_features}"
-        )
-    if len(cluster.feature_sums) != len(point.features):
-        raise DimensionMismatch(
-            f"cluster {cluster.id} has width {len(cluster.feature_sums)}, "
-            f"point has {len(point.features)}"
-        )
-    strictness = config.strictness
-    centroid = cluster.centroid()
-    matched = 0
-    total = 0.0
-    for d, c in zip(point.features, centroid):
-        sim = feature_similarity(d, c)
-        if qualifies(sim, strictness):
-            matched += 1
-            total += scale_above_100(sim)  # type: ignore[arg-type]  # None never qualifies
-    avg = total / matched if matched else None
-    return MatchProfile(cluster_id=cluster.id, matched_count=matched, qualifying_avg=avg)

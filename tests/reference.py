@@ -19,6 +19,25 @@ def naive_similarity(value, centroid_value):
     return 100.0 * value / centroid_value
 
 
+def naive_profile(point, centroid, strictness):
+    """(matched count, average of the folded qualifying similarities) of one
+    point against one centroid; the average is None when nothing matched.
+
+    A similarity v qualifies inside [strictness, 200 - strictness] and is
+    folded to 200 - v above 100, so over- and undershoot average alike.
+    """
+    lo, hi = strictness, 200.0 - strictness
+    matched = 0
+    total = 0.0
+    for d, c in zip(point, centroid):
+        sim = naive_similarity(d, c)
+        if sim is None or not (lo <= sim <= hi):
+            continue
+        matched += 1
+        total += sim if sim <= 100.0 else 200.0 - sim
+    return matched, (total / matched if matched else None)
+
+
 def naive_should_match(strictness, n_features):
     return math.ceil(n_features * strictness / 100.0)
 
@@ -49,23 +68,13 @@ class NaiveClusterer:
         """Place one point; returns (cluster_id, created_new, path, matched)."""
         point = [float(v) for v in point]
         assert len(point) == self.n_features
-        lo = self.strictness
-        hi = 200.0 - self.strictness
         need = naive_should_match(self.strictness, self.n_features)
 
         qualified = []  # (cluster index, matched count, avg of scaled sims)
         for idx in range(len(self.members)):
-            cent = self.centroid(idx)
-            matched = 0
-            scaled_total = 0.0
-            for d, c in zip(point, cent):
-                sim = naive_similarity(d, c)
-                if sim is None or not (lo <= sim <= hi):
-                    continue
-                matched += 1
-                scaled_total += sim if sim <= 100.0 else 200.0 - sim
+            matched, avg = naive_profile(point, self.centroid(idx), self.strictness)
             if matched >= need:
-                qualified.append((idx, matched, scaled_total / matched))
+                qualified.append((idx, matched, avg))
 
         seq = len(self.points)
         self.points.append(point)

@@ -110,7 +110,7 @@ def _replay_invariant(n_streams):
     for _ in range(n_streams):
         strictness, n, points = random_case(rng, rng.randint(1, 60))
         state, _ = run_stream(Config(strictness, n), points, record_profiles=False)
-        verify_state(state, points, rel_tol=1e-9)
+        verify_state(state, points)
         for cluster in state.clusters:
             centroid = cluster.centroid()
             for j in range(n):

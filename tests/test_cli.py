@@ -19,12 +19,12 @@ from strictcluster import (
     DecisionPath,
     MatchProfile,
     feature_similarity,
-    match_profile,
 )
 from strictcluster.cli import _assignment_record, _fmt2, main
 
 from generators import anchored_points
 from golden import GOLDEN_CSV
+from reference import naive_profile
 
 EXPECTED_CIDS = [1, 2, 1, 3, 3, 2]
 EXPECTED_CREATED = [True, True, False, True, False, False]
@@ -411,7 +411,7 @@ DECISIONS = {
 
 
 def render_trace(points, config):
-    """The --trace stderr of a run, from feature_similarity and match_profile."""
+    """The --trace stderr of a run, from feature_similarity and naive_profile."""
     eng = ClusteringEngine(config)
     lines, cells = [], {"undef": 0, "0/0": 0}
     band = f"[{_fmt2(config.strictness)}, {_fmt2(200.0 - config.strictness)}]"
@@ -430,12 +430,14 @@ def render_trace(points, config):
                 cells["undef"] += sim is None
                 cells["0/0"] += d == c == 0.0
                 row.append("undef" if sim is None else _fmt2(sim))
-            prof = profiles[cid] = match_profile(dp, cluster, config)
-            avg = "" if prof.qualifying_avg is None else f"  avg {_fmt2(prof.qualifying_avg)}"
-            lines.append(f"[trace]   C{cid}: {' '.join(row)}  matched {prof.matched_count}{avg}")
+            matched, avg = profiles[cid] = naive_profile(
+                dp.features, cluster.centroid(), config.strictness
+            )
+            tail = "" if avg is None else f"  avg {_fmt2(avg)}"
+            lines.append(f"[trace]   C{cid}: {' '.join(row)}  matched {matched}{tail}")
         outcome = eng.assign(dp, record_profiles=False)
         cid = outcome.assigned_cluster_id
-        avg = profiles[cid].qualifying_avg if cid in profiles else None
+        avg = profiles[cid][1] if cid in profiles else None
         decision = DECISIONS[outcome.decision_path].format(cid, None if avg is None else _fmt2(avg))
         lines.append(f"[trace]   -> {decision}")
     return "".join(line + "\n" for line in lines), cells

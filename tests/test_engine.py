@@ -18,13 +18,9 @@ from strictcluster import (
     DimensionMismatch,
     FeatureSumOverflow,
     InvariantViolation,
+    MatchProfile,
     NegativeFeature,
-    assign,
-    feature_similarity,
-    match_profile,
-    qualifies,
     run_stream,
-    scale_above_100,
     should_match_features,
     verify_state,
 )
@@ -46,7 +42,13 @@ from golden import (
     GOLDEN_STRICTNESS,
     GOLDEN_TIEBREAK_AVGS,
 )
-from reference import NaiveClusterer, naive_run, naive_should_match
+from reference import (
+    NaiveClusterer,
+    naive_profile,
+    naive_run,
+    naive_should_match,
+    naive_similarity,
+)
 
 GOLDEN_CONFIG = Config(GOLDEN_STRICTNESS, GOLDEN_N_FEATURES)
 
@@ -279,13 +281,21 @@ class TestStateRoundTrip:
             assert head_outcomes + tail_outcomes == full_outcomes
 
     def test_pure_assign_leaves_input_state_alone(self):
+        # from_state, assign, state(): one step from a state value to the next
+        def step(state, point):
+            eng = ClusteringEngine.from_state(state)
+            outcome = eng.assign(point)
+            return eng.state(), outcome
+
         state0 = ClusteringEngine(Config(60.0, 1)).state()
-        state1, out1 = assign(state0, [5.0])
-        state2, out2 = assign(state1, [5.5])
+        state1, out1 = step(state0, [5.0])
+        state2, out2 = step(state1, [5.5])
         assert state0.points_seen == 0 and not state0.clusters
         assert state1.points_seen == 1
+        assert state1.clusters[0].member_count == 1
         assert out1.created_new and not out2.created_new
         assert state2.clusters[0].member_count == 2
+        assert step(state1, [5.5]) == (state2, out2)
 
 
 class TestProfileRecording:
@@ -339,20 +349,25 @@ class TestProfileRecording:
     )
     def test_profiles_equal_the_scalar_match_profile(self, strictness, n, make):
         # all profiles of one point come from one vectorised pass; each must
-        # be the scalar route's, qualifying_avg bit for bit
-        config = Config(strictness, n)
-        eng = ClusteringEngine(config)
+        # be the scalar reference's, qualifying_avg bit for bit
+        eng = ClusteringEngine(Config(strictness, n))
+        lo, hi = strictness, 200.0 - strictness
         tiebreaks = pairwise_differs = 0
         for seq, p in enumerate(make(random.Random(31))):
             dp = DataPoint(seq, tuple(p))
-            clusters = [eng.cluster(cid) for cid in range(1, eng.cluster_count + 1)]
-            want = tuple(match_profile(dp, c, config) for c in clusters)
+            centroids = [eng.cluster(cid).centroid() for cid in range(1, eng.cluster_count + 1)]
+            want = tuple(
+                MatchProfile(cid, *naive_profile(dp.features, cent, strictness))
+                for cid, cent in enumerate(centroids, start=1)
+            )
             outcome = eng.assign(dp, record_profiles=True)
             assert outcome.profiles == want
             tiebreaks += outcome.decision_path is DecisionPath.AVG_TIEBREAK
-            for c in clusters:
-                folded = [scale_above_100(v) if qualifies(v, strictness) else 0.0
-                          for v in map(feature_similarity, dp.features, c.centroid())]
+            for cent in centroids:
+                folded = []
+                for v in map(naive_similarity, dp.features, cent):
+                    in_band = v is not None and lo <= v <= hi
+                    folded.append((v if v <= 100.0 else 200.0 - v) if in_band else 0.0)
                 total = 0.0
                 for v in folded:
                     total += v

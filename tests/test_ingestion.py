@@ -13,10 +13,6 @@ from strictcluster import (
     NegativeFeature,
     ParseError,
     PointStream,
-    parse_csv_line,
-    parse_jsonl_line,
-    stream_points,
-    to_csv_line,
 )
 from strictcluster.ingestion import _parse_csv_fields, _parse_jsonl_fields
 
@@ -24,19 +20,25 @@ CFG2 = Config(60.0, 2)
 CFG3 = Config(60.0, 3)
 
 
+def only_point(text, fmt, config, seq=0):
+    """The one point a PointStream reads from a one-line source."""
+    (point,) = PointStream(io.StringIO(text), fmt, config, start_seq=seq)
+    return point
+
+
 class TestCsvLine:
     def test_parses_numbers(self):
-        dp = parse_csv_line("10,15.5,2e1", CFG3, seq=4)
+        dp = only_point("10,15.5,2e1", "csv", CFG3, seq=4)
         assert dp.features == (10.0, 15.5, 20.0)
         assert dp.seq == 4
         assert dp.label is None
 
     def test_tolerates_field_whitespace(self):
-        assert parse_csv_line(" 1 ,\t2 ", CFG2).features == (1.0, 2.0)
+        assert _parse_csv_fields(" 1 ,\t2 ") == [1.0, 2.0]
 
     def test_bad_number_reports_the_column(self):
         with pytest.raises(ParseError) as exc:
-            parse_csv_line("1,two,3", CFG3)
+            _parse_csv_fields("1,two,3")
         assert exc.value.column == 2
         assert "'two'" in str(exc.value)
 
@@ -44,21 +46,22 @@ class TestCsvLine:
     def test_digit_separators_are_not_numbers(self, line, col):
         # float() would read 1_0 as 10; the CSV syntax does not
         with pytest.raises(ParseError) as exc:
-            parse_csv_line(line, CFG2)
+            _parse_csv_fields(line)
         assert exc.value.column == col
         assert "not a number" in str(exc.value)
 
     def test_wrong_arity(self):
         with pytest.raises(DimensionMismatch):
-            parse_csv_line("1,2", CFG3)
+            only_point("1,2", "csv", CFG3)
 
     def test_negative_value(self):
         with pytest.raises(NegativeFeature):
-            parse_csv_line("1,-2", CFG2)
+            only_point("1,-2", "csv", CFG2)
 
     def test_round_trip_is_exact(self):
-        dp = parse_csv_line("0.1,0.30000000000000004", CFG2)
-        again = parse_csv_line(to_csv_line(dp), CFG2)
+        dp = only_point("0.1,0.30000000000000004", "csv", CFG2)
+        assert dp.features == (0.1, 0.30000000000000004)
+        again = only_point(",".join(map(repr, dp.features)), "csv", CFG2)
         assert again.features == dp.features
 
     @given(
@@ -69,11 +72,8 @@ class TestCsvLine:
         )
     )
     def test_round_trip_any_finite_vector(self, values):
-        cfg = Config(60.0, len(values))
         line = ",".join(repr(v) for v in values)
-        dp = parse_csv_line(line, cfg)
-        assert dp.features == tuple(values)
-        assert parse_csv_line(to_csv_line(dp), cfg).features == dp.features
+        assert only_point(line, "csv", Config(60.0, len(values))).features == tuple(values)
 
     @given(
         st.lists(
@@ -123,13 +123,13 @@ def per_field_parse(line):
 
 class TestJsonlLine:
     def test_parses_object_with_label(self):
-        dp = parse_jsonl_line('{"features": [1, 2.5], "id": "a7"}', CFG2, seq=3)
+        dp = only_point('{"features": [1, 2.5], "id": "a7"}', "jsonl", CFG2, seq=3)
         assert dp.features == (1.0, 2.5)
         assert dp.label == "a7"
         assert dp.seq == 3
 
     def test_label_is_optional(self):
-        assert parse_jsonl_line('{"features": [1, 2]}', CFG2).label is None
+        assert only_point('{"features": [1, 2]}', "jsonl", CFG2).label is None
 
     @pytest.mark.parametrize(
         "line,fragment",
@@ -158,7 +158,7 @@ class TestJsonlLine:
     )
     def test_malformed_objects(self, line, fragment):
         with pytest.raises(ParseError) as exc:
-            parse_jsonl_line(line, CFG2)
+            _parse_jsonl_fields(line)
         assert fragment in str(exc.value)
 
     @given(
@@ -189,9 +189,9 @@ class TestJsonlLine:
 
     def test_validation_still_applies(self):
         with pytest.raises(DimensionMismatch):
-            parse_jsonl_line('{"features": [1]}', CFG2)
+            only_point('{"features": [1]}', "jsonl", CFG2)
         with pytest.raises(NegativeFeature):
-            parse_jsonl_line('{"features": [1, -2]}', CFG2)
+            only_point('{"features": [1, -2]}', "jsonl", CFG2)
 
 
 def per_value_parse(line):
@@ -310,7 +310,3 @@ class TestPointStream:
             PointStream(io.StringIO(""), "csv", CFG2, on_error="ignore")
         with pytest.raises(ValueError):
             PointStream(io.StringIO(""), "csv")  # neither config nor strictness
-
-    def test_stream_points_wrapper(self):
-        points = list(stream_points(io.StringIO("1,2\n"), "csv", CFG2))
-        assert [p.features for p in points] == [(1.0, 2.0)]

@@ -226,7 +226,7 @@ class TestVerifyState:
         nudged = dataclasses.replace(
             make_state().clusters[0], feature_sums=(3.0 * (1.0 + 1e-12), 7.0)
         )
-        verify_state(make_state(clusters=(nudged, make_state().clusters[1])), points, rel_tol=1e-9)
+        verify_state(make_state(clusters=(nudged, make_state().clusters[1])), points)
 
 
 class TestOutcomeTypes:

@@ -1,4 +1,9 @@
-"""Unit tests for the ratio similarity, the band, and per-cluster profiles."""
+"""Unit tests for the ratio similarity, the band, and per-cluster profiles.
+
+The band, the fold of overshoot and the per-cluster profile are read from
+the engine's profiles against clusters of given centroids, and checked
+against the scalar profile of the naive reference.
+"""
 
 import pytest
 from hypothesis import given
@@ -6,18 +11,19 @@ from hypothesis import strategies as st
 
 from strictcluster import (
     Cluster,
+    ClusteringEngine,
+    ClusterState,
     Config,
     DataPoint,
     DimensionMismatch,
+    InvariantViolation,
     feature_similarity,
-    match_profile,
-    qualifies,
     qualifying_range,
-    scale_above_100,
+    verify_state,
 )
 
-from golden import GOLDEN_POINTS, GOLDEN_TIEBREAK_AVGS
-from reference import naive_similarity
+from golden import GOLDEN_CENTROIDS, GOLDEN_POINTS, GOLDEN_TIEBREAK_AVGS
+from reference import naive_profile, naive_similarity
 
 # Dyadic rationals are closed under the arithmetic in these formulas, so
 # properties that would be approximate on arbitrary doubles hold exactly.
@@ -50,6 +56,31 @@ class TestFeatureSimilarity:
         assert feature_similarity(d, c) == naive_similarity(d, c)
 
 
+def cluster_with_centroid(values, cid=1):
+    return Cluster(
+        id=cid,
+        member_count=1,
+        feature_sums=tuple(float(v) for v in values),
+        member_seqs=(cid - 1,),
+    )
+
+
+def engine_profiles(point, centroids, strictness):
+    """The engine's MatchProfiles of ``point`` against one cluster per centroid."""
+    clusters = tuple(cluster_with_centroid(c, i) for i, c in enumerate(centroids, start=1))
+    state = ClusterState(Config(strictness, len(point)), clusters, points_seen=len(clusters))
+    return ClusteringEngine.from_state(state).assign(point).profiles
+
+
+def profile(point, centroid, strictness):
+    return engine_profiles(point, [centroid], strictness)[0]
+
+
+def qualifies(d, c, strictness):
+    """Whether one feature d against centroid value c matches in the engine."""
+    return profile([d], [c], strictness).matched_count == 1
+
+
 class TestQualifyingBand:
     def test_range_endpoints(self):
         assert qualifying_range(60.0) == (60.0, 140.0)
@@ -57,22 +88,24 @@ class TestQualifyingBand:
         assert qualifying_range(0.5) == (0.5, 199.5)
 
     def test_band_is_inclusive_and_exact(self):
-        assert qualifies(60.0, 60.0)
-        assert qualifies(140.0, 60.0)
-        assert not qualifies(59.999999999, 60.0)
-        assert not qualifies(140.000000001, 60.0)
+        # 100 * d / 100 is d itself for each of these d
+        assert qualifies(60.0, 100.0, 60.0)
+        assert qualifies(140.0, 100.0, 60.0)
+        assert not qualifies(59.999999999, 100.0, 60.0)
+        assert not qualifies(140.000000001, 100.0, 60.0)
 
     def test_none_never_qualifies(self):
-        assert not qualifies(None, 1.0)
+        assert feature_similarity(5.0, 0.0) is None
+        assert not qualifies(5.0, 0.0, 1.0)
 
     def test_strictness_100_admits_only_exact_100(self):
-        assert qualifies(100.0, 100.0)
-        assert not qualifies(99.99999999, 100.0)
-        assert not qualifies(100.00000001, 100.0)
+        assert qualifies(7.0, 7.0, 100.0)
+        assert not qualifies(99.99999999, 100.0, 100.0)
+        assert not qualifies(100.00000001, 100.0, 100.0)
 
     def test_zero_similarity_never_qualifies(self):
         # the band's lower edge is the (positive) strictness itself
-        assert not qualifies(0.0, 0.5)
+        assert not qualifies(0.0, 5.0, 0.5)
 
     @given(
         st.integers(1, 100),
@@ -82,43 +115,36 @@ class TestQualifyingBand:
         # On quarter-integer values both routes are exact, so the band test
         # and "scaled similarity >= strictness" must agree everywhere.
         s = float(strictness)
-        assert qualifies(sim, s) == (scale_above_100(sim) >= s)
+        scaled = sim if sim <= 100.0 else 200.0 - sim
+        assert qualifies(sim, 100.0, s) == (scaled >= s)
 
 
 class TestScaleAbove100:
+    """A qualifying similarity v above 100 enters the average as 200 - v."""
+
     def test_at_or_below_100_is_identity(self):
-        assert scale_above_100(100.0) == 100.0
-        assert scale_above_100(60.0) == 60.0
-        assert scale_above_100(0.0) == 0.0
+        assert profile([100.0], [100.0], 1.0).qualifying_avg == 100.0
+        assert profile([60.0], [100.0], 1.0).qualifying_avg == 60.0
+        assert profile([0.5], [100.0], 0.5).qualifying_avg == 0.5
 
     def test_overshoot_folds_back(self):
-        assert scale_above_100(140.0) == 60.0
-        assert scale_above_100(200.0) == 0.0
+        assert profile([140.0], [100.0], 60.0).qualifying_avg == 60.0
+        assert profile([199.5], [100.0], 0.5).qualifying_avg == 0.5
 
-    @given(st.builds(lambda m, e: m * 2.0**e, st.integers(1, 1 << 16), st.integers(-8, 1)))
+    @given(st.builds(lambda m, e: m * 2.0**e, st.integers(1, 1 << 12), st.integers(-12, -6)))
     def test_symmetric_on_dyadic_offsets(self, eps):
-        assert scale_above_100(100.0 + eps) == scale_above_100(100.0 - eps)
-
-
-def cluster_with_centroid(values, cid=1):
-    return Cluster(
-        id=cid,
-        member_count=1,
-        feature_sums=tuple(float(v) for v in values),
-        member_seqs=(0,),
-    )
+        # eps <= 64, so both similarities 100 +- eps are exact and in the band
+        over = profile([100.0 + eps], [100.0], 1.0)
+        under = profile([100.0 - eps], [100.0], 1.0)
+        assert over.qualifying_avg == under.qualifying_avg == 100.0 - eps
 
 
 class TestMatchProfile:
     def test_tiebreak_profiles_of_the_six_point_example(self):
-        cfg = Config(60.0, 10)
-        point = DataPoint(seq=4, features=tuple(float(v) for v in GOLDEN_POINTS[4]))
-        c1_sums = tuple(a + b for a, b in zip(GOLDEN_POINTS[0], GOLDEN_POINTS[2]))
-        c1 = Cluster(id=1, member_count=2, feature_sums=c1_sums, member_seqs=(0, 2))
-        c3 = cluster_with_centroid(GOLDEN_POINTS[3], cid=3)
-
-        p1 = match_profile(point, c1, cfg)
-        p3 = match_profile(point, c3, cfg)
+        # point 4 against C1 = {0, 2} and C3 = {3}, as they stand before it
+        p1, p3 = engine_profiles(
+            GOLDEN_POINTS[4], [GOLDEN_CENTROIDS[1], GOLDEN_POINTS[3]], 60.0
+        )
         assert p1.matched_count == 8
         assert p3.matched_count == 8
         assert round(p1.qualifying_avg, 2) == GOLDEN_TIEBREAK_AVGS[1]
@@ -126,42 +152,31 @@ class TestMatchProfile:
         assert p3.qualifying_avg > p1.qualifying_avg
 
     def test_no_qualifier_gives_none_average(self):
-        cfg = Config(60.0, 2)
-        p = match_profile(
-            DataPoint(seq=0, features=(1000.0, 1000.0)),
-            cluster_with_centroid([1.0, 1.0]),
-            cfg,
-        )
+        p = profile([1000.0, 1000.0], [1.0, 1.0], 60.0)
         assert p.matched_count == 0
         assert p.qualifying_avg is None
 
     def test_only_qualifying_features_enter_the_average(self):
-        cfg = Config(50.0, 3)
         # sims: 100, 140 -> scaled 60, and 300 which is out of band
-        p = match_profile(
-            DataPoint(seq=0, features=(10.0, 14.0, 30.0)),
-            cluster_with_centroid([10.0, 10.0, 10.0]),
-            cfg,
-        )
+        p = profile([10.0, 14.0, 30.0], [10.0, 10.0, 10.0], 50.0)
         assert p.matched_count == 2
         assert p.qualifying_avg == 80.0
 
     def test_undefined_similarity_is_skipped(self):
-        cfg = Config(50.0, 2)
-        p = match_profile(
-            DataPoint(seq=0, features=(3.0, 10.0)),
-            cluster_with_centroid([0.0, 10.0]),
-            cfg,
-        )
+        p = profile([3.0, 10.0], [0.0, 10.0], 50.0)
         assert p.matched_count == 1
         assert p.qualifying_avg == 100.0
 
     def test_dimension_mismatches_raise(self):
-        cfg = Config(60.0, 2)
+        state = ClusterState(Config(60.0, 2), (cluster_with_centroid([1.0, 2.0]),), 1)
+        eng = ClusteringEngine.from_state(state)
         with pytest.raises(DimensionMismatch):
-            match_profile(DataPoint(seq=0, features=(1.0,)), cluster_with_centroid([1.0, 2.0]), cfg)
+            eng.assign([1.0])
         with pytest.raises(DimensionMismatch):
-            match_profile(DataPoint(seq=0, features=(1.0, 2.0)), cluster_with_centroid([1.0]), cfg)
+            eng.assign(DataPoint(seq=1, features=(1.0,)))
+        narrow = ClusterState(Config(60.0, 2), (cluster_with_centroid([1.0]),), 1)
+        with pytest.raises(InvariantViolation, match="width 1"):
+            verify_state(narrow)
 
     @given(
         st.integers(1, 8).flatmap(
@@ -174,22 +189,7 @@ class TestMatchProfile:
     )
     def test_agrees_with_a_naive_loop(self, case):
         point_vals, centroid_vals, strictness = case
-        cfg = Config(strictness, len(point_vals))
-        profile = match_profile(
-            DataPoint(seq=0, features=tuple(point_vals)),
-            cluster_with_centroid(centroid_vals),
-            cfg,
+        got = profile(point_vals, centroid_vals, strictness)
+        assert (got.matched_count, got.qualifying_avg) == naive_profile(
+            point_vals, centroid_vals, strictness
         )
-        lo, hi = strictness, 200.0 - strictness
-        matched, total = 0, 0.0
-        for d, c in zip(point_vals, centroid_vals):
-            sim = naive_similarity(d, c)
-            if sim is None or not (lo <= sim <= hi):
-                continue
-            matched += 1
-            total += sim if sim <= 100.0 else 200.0 - sim
-        assert profile.matched_count == matched
-        if matched:
-            assert profile.qualifying_avg == total / matched
-        else:
-            assert profile.qualifying_avg is None
