@@ -160,6 +160,11 @@ class ClusteringEngine:
         cents = self._cents[:, :k]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             sims = (100.0 * f)[:, None] / cents
+            # 100 * d overflows for d above about 1.8e306: those rows divide
+            # first, as 100 * (d / c)
+            if 100.0 * max(dp.features) == math.inf:
+                for j in np.isinf(100.0 * f).nonzero()[0]:
+                    sims[j] = 100.0 * (f[j] / cents[j])
             # zero centroid feature: an exactly-zero point value is identical
             # (similarity 100, fixed up here from the nan of 0/0); a positive
             # one is undefined and the inf left by the division never falls

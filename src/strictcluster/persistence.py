@@ -114,21 +114,32 @@ def load_snapshot(source: str | os.PathLike) -> ClusterState:
         config = validate_config(
             doc["config"]["strictness"], doc["config"]["n_features"]
         )
-        clusters = tuple(
-            Cluster(
-                id=int(c["id"]),
-                member_count=int(c["member_count"]),
-                feature_sums=tuple(float(v) for v in c["feature_sums"]),
-                member_seqs=tuple(int(s) for s in c["member_seqs"]),
-            )
-            for c in doc["clusters"]
-        )
-        state = ClusterState(
-            config=config, clusters=clusters, points_seen=int(doc["points_seen"])
-        )
+        clusters = tuple(map(_cluster, doc["clusters"]))
+        points_seen = doc["points_seen"]
+        if type(points_seen) is not int:
+            raise TypeError(f"points_seen {points_seen!r} is not an integer")
+        state = ClusterState(config=config, clusters=clusters, points_seen=points_seen)
     except InvariantViolation:
         raise
-    except (ClusteringError, KeyError, TypeError, ValueError) as err:
+    except (ClusteringError, KeyError, TypeError, ValueError, OverflowError) as err:
         raise InvariantViolation(f"snapshot payload is inconsistent: {err}") from err
     verify_state(state)
     return state
+
+
+def _cluster(doc: dict) -> Cluster:
+    """One payload cluster: integer id, count and seqs, and number sums."""
+    sums, seqs = doc["feature_sums"], doc["member_seqs"]
+    # type() rather than isinstance(): bool is an int subclass but not a number
+    if not set(map(type, [doc["id"], doc["member_count"], *seqs])) <= {int}:
+        raise TypeError(
+            f"cluster {doc['id']!r}: id, member_count and member_seqs must be integers"
+        )
+    if not set(map(type, sums)) <= {int, float}:
+        raise TypeError(f"cluster {doc['id']}: feature_sums must be numbers")
+    return Cluster(
+        id=doc["id"],
+        member_count=doc["member_count"],
+        feature_sums=tuple(map(float, sums)),
+        member_seqs=tuple(seqs),
+    )

@@ -9,17 +9,24 @@ so equal amounts of undershoot and overshoot are treated alike.
 
 from __future__ import annotations
 
+import math
+
 
 def feature_similarity(datapoint_value: float, centroid_value: float) -> float | None:
     """Similarity percent of a point feature against a centroid feature.
 
     Returns None (undefined) when the centroid feature is 0 and the point's
     is positive; such a feature never qualifies. Two exact zeros are
-    identical values and score 100.
+    identical values and score 100. The value is scaled by 100 before the
+    division; only when that product overflows (value above about 1.8e306)
+    is the ratio taken first, as 100 * (value / centroid).
     """
     if centroid_value == 0.0:
         return 100.0 if datapoint_value == 0.0 else None
-    return 100.0 * datapoint_value / centroid_value
+    scaled = 100.0 * datapoint_value
+    if math.isinf(scaled):
+        return 100.0 * (datapoint_value / centroid_value)
+    return scaled / centroid_value
 
 
 def qualifying_range(strictness: float) -> tuple[float, float]:

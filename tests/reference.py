@@ -16,6 +16,8 @@ import math
 def naive_similarity(value, centroid_value):
     if centroid_value == 0.0:
         return 100.0 if value == 0.0 else None
+    if math.isinf(100.0 * value):  # value above about 1.8e306: divide first
+        return 100.0 * (value / centroid_value)
     return 100.0 * value / centroid_value
 
 

@@ -80,6 +80,16 @@ class TestRun:
         assert "joins C3 (matched-count tie, best qualifying average 93.63)" in err
         assert "joins C1 (only qualifying cluster)" in err
 
+    def test_identical_points_past_1e306_share_a_cluster(self, capsys, monkeypatch):
+        # 100 * 1e307 overflows, so the similarity divides first: 100 * (1 / 1)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1e307,1\n1e307,1\n"))
+        code = main(["run", "--strictness", "90", "--trace"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert [r["cluster_id"] for r in records_of(out)] == [1, 1]
+        assert "[trace]   C1: 100 100  matched 2  avg 100\n" in err
+        assert "joins C1 (only qualifying cluster)" in err
+
     def test_trace_stops_after_1000_points(self, tmp_path, capsys):
         data = tmp_path / "many.csv"
         data.write_text("7\n" * 1500)

@@ -251,8 +251,9 @@ class TestStreamDiscipline:
         assert eng.cluster(outcome.assigned_cluster_id).member_seqs[-1] == 179
 
     def test_overflowing_similarity_warns_nothing(self):
-        # 100 * 1e307 is inf: that feature never matches, and no numpy
-        # RuntimeWarning escapes; the point still joins on the other feature
+        # 100 * 1e307 overflows, so that feature divides first and scores
+        # 100 * (1e307 / 1e308), about 10, out of the band; no numpy
+        # RuntimeWarning escapes, and the point joins on the other feature
         eng = ClusteringEngine(Config(50.0, 2))
         eng.assign([1e308, 1.0])
         with warnings.catch_warnings():
@@ -260,6 +261,17 @@ class TestStreamDiscipline:
             outcome = eng.assign([1e307, 1.0])
         assert outcome.assigned_cluster_id == 1
         assert outcome.winner_profile.matched_count == 1
+
+
+    def test_identical_points_past_1e306_share_a_cluster(self):
+        points = [[1e307, 1.0], [1e307, 1.0]]
+        _, outcomes = run_stream(Config(90.0, 2), points)
+        assert [(o.assigned_cluster_id, o.created_new) for o in outcomes] == [(1, True), (1, False)]
+        assert outcomes[1].winner_profile == MatchProfile(1, 2, 100.0)
+        _, results = naive_run(90.0, 2, points)
+        assert results == [
+            (1, True, "EMPTY_LIST_NEW_CLUSTER", None), (1, False, "SINGLE_QUALIFIED", 2)
+        ]
 
 
 class TestStateRoundTrip:
@@ -439,6 +451,18 @@ class TestAgainstNaiveReference:
         _, outcomes = run_stream(Config(strictness, 300), points, record_profiles=False)
         counts = [o.winner_profile.matched_count for o in outcomes if not o.created_new]
         assert max(counts) > 255
+
+    def test_extreme_magnitudes_agree_exactly(self):
+        # features past 1e306, where 100 * d overflows and the similarity
+        # divides first, mixed with ordinary ones; 40 points keep every
+        # feature sum below the largest float
+        rng = random.Random(307)
+        anchors = [[2e306, 3e305, 1.0], [4e306, 3e306, 2.0], [2.5e306, 1e306, 5.0]]
+        points = [
+            [v * rng.uniform(0.97, 1.03) for v in rng.choice(anchors)] for _ in range(40)
+        ]
+        state = self.assert_agrees(90.0, 3, points)
+        assert 1 < len(state.clusters) < 20
 
     def test_zero_heavy_streams_agree_exactly(self):
         self.assert_zero_heavy_streams_agree(0.0)

@@ -21,6 +21,7 @@ from strictcluster import (
     run_stream,
     save_snapshot,
 )
+from strictcluster.cli import main
 
 from generators import random_case
 from golden import GOLDEN_N_FEATURES, GOLDEN_POINTS, GOLDEN_STRICTNESS
@@ -208,6 +209,39 @@ class TestCorruption:
         self.rewrite_payload(path, drop_key)
         with pytest.raises(InvariantViolation):
             load_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            pytest.param(("clusters", 0, "member_count"), 2.9, id="member_count-2.9"),
+            pytest.param(("clusters", 1, "member_seqs", 0), 1.5, id="member-seq-1.5"),
+            pytest.param(("clusters", 1, "member_seqs", 0), "1", id="member-seq-string"),
+            pytest.param(("points_seen",), 6.5, id="points_seen-6.5"),
+            pytest.param(("clusters", 0, "id"), True, id="id-true"),
+            pytest.param(("clusters", 0, "feature_sums", 0), True, id="sum-true"),
+            pytest.param(("clusters", 0, "feature_sums", 0), 10**400, id="sum-401-digits"),
+            pytest.param(("clusters", 0, "feature_sums", 0), 2, id="sum-2-is-valid"),
+        ],
+    )
+    def test_ill_typed_fields_are_rejected(self, golden_state, tmp_path, capsys, path, value):
+        # each of these loaded at face value after int() or float(), with a
+        # valid checksum; an integer sum is a number and loads as a float
+        snap = self.write(tmp_path, golden_state)
+
+        def put(doc):
+            for key in path[:-1]:
+                doc = doc[key]
+            doc[path[-1]] = value
+
+        self.rewrite_payload(snap, put)
+        if value == 2:  # the valid case
+            sums = load_snapshot(snap).clusters[0].feature_sums
+            assert sums[0] == 2.0 and type(sums[0]) is float
+            return
+        with pytest.raises(InvariantViolation, match="snapshot payload is inconsistent"):
+            load_snapshot(snap)
+        assert main(["inspect", "--snapshot-in", str(snap)]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_unparseable_payload_with_matching_checksum(self, golden_state, tmp_path):
         import hashlib
