@@ -51,11 +51,14 @@ class TestFeatureSimilarity:
         assert feature_similarity(x, x) == 100.0
 
     @given(
-        st.floats(min_value=0.0, max_value=1e12, allow_nan=False),
-        st.floats(min_value=1e-6, max_value=1e12, allow_nan=False),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False, exclude_min=True),
     )
     def test_agrees_with_naive_route(self, d, c):
-        assert feature_similarity(d, c) == naive_similarity(d, c)
+        sim = feature_similarity(d, c)
+        assert sim == naive_similarity(d, c)
+        if 100.0 * d < math.inf:  # scaled first: the normal range keeps its bits
+            assert sim == 100.0 * d / c
 
     def test_overflowing_product_divides_first(self):
         assert 100.0 * 1e307 == math.inf
@@ -63,18 +66,6 @@ class TestFeatureSimilarity:
         assert feature_similarity(1.7e308, 1.7e308) == 100.0
         assert feature_similarity(1e307, 1e308) == 100.0 * (1e307 / 1e308)
         assert feature_similarity(1e307, 1e-300) == math.inf  # never in a band
-
-    @given(
-        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
-        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False, exclude_min=True),
-    )
-    def test_scales_first_wherever_the_product_is_finite(self, d, c):
-        sim = feature_similarity(d, c)
-        if 100.0 * d < math.inf:
-            assert sim == 100.0 * d / c
-        else:
-            assert sim == 100.0 * (d / c)
-        assert sim == naive_similarity(d, c)
 
 
 def cluster_with_centroid(values, cid=1):
