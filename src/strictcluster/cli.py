@@ -14,6 +14,8 @@ import json
 import sys
 from typing import IO, Iterator
 
+import numpy as np
+
 from .engine import ClusteringEngine
 from .errors import ClusteringError
 from .ingestion import PointStream, SkippedLine
@@ -25,14 +27,47 @@ PROG = "strictcluster"
 TRACE_LIMIT = 1000  # points traced per invocation before output is cut off
 
 
+# _fmt2's text after the integer part, for 0..99 hundredths: "", ".01", ..., ".5"
+_HUNDREDTHS = tuple(f".{h:02d}".rstrip("0").rstrip(".") for h in range(100))
+
+
 def _fmt2(value: float) -> str:
-    """2-decimal display with trailing zeros dropped: 9.5, 19, 233.33."""
+    """2-decimal display with trailing zeros dropped: 9.5, 19, 233.33.
+
+    From 1e16 up, where .2f would print digits past the float's precision,
+    the shortest repr: 1e+306.
+    """
+    if value >= 1e16:
+        return repr(float(value))
     text = f"{value:.2f}".rstrip("0").rstrip(".")
     return text or "0"
 
 
-def _sim_text(value: float | None) -> str:
-    return "undef" if value is None else _fmt2(value)
+def _fmt2_array(values: np.ndarray) -> list[str]:
+    """_fmt2's text for every value of a flat float64 array, "undef" for nan.
+
+    Below 2**40, y = 100 * v lies within 2**-14 of the exact product and
+    y - rint(y) is exact, so where y is more than 2**-11 off a half, rint(y)
+    is the integer count of hundredths that .2f prints. Those cells are
+    built from it; the rest (nan, -0.0, inf, 1.1e10 and above, near-halves)
+    go through _fmt2.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = 100.0 * values
+        q = np.rint(y)
+        fast = (y < 2.0**40) & (abs(y - q) < 0.5 - 2.0**-11) & ~np.signbit(values)
+    slow = ~fast
+    q[slow] = 0.0
+    whole, hundredths = np.divmod(q.astype(np.int64), 100)
+    texts = [
+        f"{w}{_HUNDREDTHS[h]}" for w, h in zip(whole.tolist(), hundredths.tolist())
+    ]
+    if slow.any():
+        vals = values.tolist()
+        for i in slow.nonzero()[0].tolist():
+            v = vals[i]
+            texts[i] = "undef" if v != v else _fmt2(v)
+    return texts
 
 
 @contextlib.contextmanager
@@ -98,12 +133,16 @@ def _summary_record(engine: ClusteringEngine | None) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
-def _sim_rows(engine: ClusteringEngine, dp: DataPoint) -> list[list[float | None]]:
-    """Similarity of dp against every centroid as it stands before insertion."""
-    return [
-        [feature_similarity(d, c) for d, c in zip(dp.features, centroid)]
-        for centroid in engine.centroids().tolist()
-    ]
+def _sim_rows(engine: ClusteringEngine, dp: DataPoint) -> np.ndarray:
+    """Similarity of dp against every centroid as it stands before insertion.
+
+    One flat float64 array, cluster by cluster, with nan where the
+    similarity is undefined: feature_similarity never returns nan, and
+    numpy stores its None as nan.
+    """
+    cents = engine.centroids().ravel().tolist()
+    sims = map(feature_similarity, dp.features * engine.cluster_count, cents)
+    return np.array(list(sims), dtype=np.float64)
 
 
 def _decision_text(outcome: AssignmentOutcome) -> str:
@@ -122,22 +161,28 @@ def _decision_text(outcome: AssignmentOutcome) -> str:
 def _print_trace(
     engine: ClusteringEngine,
     dp: DataPoint,
-    rows: list[list[float | None]],
+    sims: np.ndarray,
     outcome: AssignmentOutcome,
 ) -> None:
     cfg = engine.config
+    n = cfg.n_features
     lo, hi = qualifying_range(cfg.strictness)
     tag = f"point {dp.seq}" + (f" ({dp.label})" if dp.label else "")
     lines = [
         f"[trace] {tag}: band [{_fmt2(lo)}, {_fmt2(hi)}], "
-        f"needs {engine.should_match} of {cfg.n_features}"
+        f"needs {engine.should_match} of {n}"
     ]
-    for row, profile in zip(rows, outcome.profiles):
-        sims = " ".join([_sim_text(v) for v in row])
+    cells = _fmt2_array(sims)
+    profiles = outcome.profiles
+    avgs = _fmt2_array(
+        np.array([p.qualifying_avg for p in profiles], dtype=np.float64)
+    )
+    for i, profile in enumerate(profiles):
+        row = " ".join(cells[i * n : (i + 1) * n])
         extra = f"  matched {profile.matched_count}"
         if profile.qualifying_avg is not None:
-            extra += f"  avg {_fmt2(profile.qualifying_avg)}"
-        lines.append(f"[trace]   C{profile.cluster_id}: {sims}{extra}")
+            extra += f"  avg {avgs[i]}"
+        lines.append(f"[trace]   C{profile.cluster_id}: {row}{extra}")
     lines.append(f"[trace]   -> {_decision_text(outcome)}\n")
     # one write per point: stderr is line-buffered, so print() per row is a
     # system call per row
@@ -166,14 +211,14 @@ def _cluster_stream(
             engine = ClusteringEngine(stream.config)
         do_trace = args.trace and traced < TRACE_LIMIT
         # Tables must reflect the pre-insertion state, so compute them first.
-        rows = _sim_rows(engine, dp) if do_trace else None
+        sims = _sim_rows(engine, dp) if do_trace else None
         try:
             outcome = engine.assign(dp, record_profiles=do_trace)
         except ClusteringError as err:
             err.line_number = stream.line_number
             raise
         if do_trace:
-            _print_trace(engine, dp, rows, outcome)
+            _print_trace(engine, dp, sims, outcome)
             traced += 1
             if traced == TRACE_LIMIT:
                 print(

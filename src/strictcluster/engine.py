@@ -179,6 +179,7 @@ class ClusteringEngine:
             )
             qualified_ids = (matched >= self._need).nonzero()[0]
 
+            win_avg = None
             if qualified_ids.size == 0:
                 widx = -1
                 path = DecisionPath.EMPTY_LIST_NEW_CLUSTER
@@ -192,7 +193,7 @@ class ClusteringEngine:
                     widx = int(tied[0])
                     path = DecisionPath.MAX_MATCHED
                 else:
-                    widx = self._break_tie(tied, sims, band)
+                    widx, win_avg = self._break_tie(tied, sims, band)
                     path = DecisionPath.AVG_TIEBREAK
             if widx >= 0:
                 total = self._sums[widx] + f
@@ -216,7 +217,10 @@ class ClusteringEngine:
             if not created:
                 winner_profile = profiles[widx]
         elif not created:
-            winner_profile = self._profile(widx, sims, band, matched)
+            # a winner qualified, so it matched at least one feature
+            if win_avg is None:
+                win_avg = self._qualifying_avg(sims[:, widx], band[:, widx])
+            winner_profile = MatchProfile(widx + 1, int(matched[widx]), win_avg)
         return AssignmentOutcome(
             point_seq=dp.seq,
             assigned_cluster_id=cid,
@@ -282,9 +286,12 @@ class ClusteringEngine:
             total += v if v <= 100.0 else 200.0 - v
         return total / len(vals)
 
-    def _break_tie(self, tied: np.ndarray, sims: np.ndarray, band: np.ndarray) -> int:
+    def _break_tie(
+        self, tied: np.ndarray, sims: np.ndarray, band: np.ndarray
+    ) -> tuple[int, float]:
         # Highest average of scaled qualifying similarities; on an exact tie
-        # the earliest-created cluster (lowest id) keeps the point.
+        # the earliest-created cluster (lowest id) keeps the point. Returns
+        # the winner and its average, which its profile reports.
         best_avg = -1.0
         best = int(tied[0])
         for i in tied.tolist():
@@ -292,14 +299,7 @@ class ClusteringEngine:
             if avg > best_avg:
                 best_avg = avg
                 best = i
-        return best
-
-    def _profile(
-        self, i: int, sims: np.ndarray, band: np.ndarray, matched: np.ndarray
-    ) -> MatchProfile:
-        count = int(matched[i])
-        avg = self._qualifying_avg(sims[:, i], band[:, i]) if count else None
-        return MatchProfile(cluster_id=i + 1, matched_count=count, qualifying_avg=avg)
+        return best, best_avg
 
     @staticmethod
     def _profiles(
@@ -308,7 +308,7 @@ class ClusteringEngine:
         # Every cluster at once, with _qualifying_avg's arithmetic: a
         # left-to-right running sum over the features, where adding 0.0 for an
         # out-of-band feature is exact. A plain sum may add pairwise. For the
-        # winner's column alone, _profile is the cheaper route.
+        # winner's column alone, _qualifying_avg is the cheaper route.
         folded = np.where(band, np.where(sims <= 100.0, sims, 200.0 - sims), 0.0)
         totals = np.add.accumulate(folded, axis=0)[-1].tolist()
         return tuple(

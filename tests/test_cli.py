@@ -4,9 +4,11 @@ import io
 import json
 import random
 import shutil
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,8 +21,9 @@ from strictcluster import (
     DecisionPath,
     MatchProfile,
     feature_similarity,
+    save_snapshot,
 )
-from strictcluster.cli import _assignment_record, _fmt2, main
+from strictcluster.cli import _assignment_record, _fmt2, _fmt2_array, main
 
 from generators import anchored_points
 from golden import GOLDEN_CSV
@@ -30,6 +33,19 @@ EXPECTED_CIDS = [1, 2, 1, 3, 3, 2]
 EXPECTED_CREATED = [True, True, False, True, False, False]
 
 C2_ROW = "C2: size 2  centroid 9.5 33.5 19 45 11 43.5 50 48 9.5 22.5"
+
+# 100 * v reaches 2**40 here; _fmt2_array takes its fast path only below it
+FAST_CAP = 2.0**40 / 100
+
+any_float = st.one_of(
+    st.floats(),
+    st.integers(min_value=0, max_value=2**64 - 1).map(
+        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+    ),
+    st.floats(min_value=FAST_CAP),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, float("inf"), float("-inf"),
+                     FAST_CAP, float(np.nextafter(FAST_CAP, 0.0)), 1.1e10, 1e16, 1e306]),
+)
 
 
 def records_of(text):
@@ -89,6 +105,13 @@ class TestRun:
         assert [r["cluster_id"] for r in records_of(out)] == [1, 1]
         assert "[trace]   C1: 100 100  matched 2  avg 100\n" in err
         assert "joins C1 (only qualifying cluster)" in err
+
+    def test_trace_prints_a_similarity_from_1e16_up_as_its_repr(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1,1\n1e20,1\n"))
+        code = main(["run", "--strictness", "60", "--trace"])
+        _, err = capsys.readouterr()
+        assert code == 0
+        assert "[trace]   C1: 1e+22 100  matched 1  avg 100\n" in err
 
     def test_trace_stops_after_1000_points(self, tmp_path, capsys):
         data = tmp_path / "many.csv"
@@ -291,6 +314,16 @@ class TestSnapshotCommands:
         assert "0 clusters" in out
         assert "points seen: 0" in out
 
+    def test_inspect_prints_a_centroid_from_1e16_up_as_its_repr(self, tmp_path, capsys):
+        eng = ClusteringEngine(Config(60.0, 4))
+        eng.assign([1e306, 1e16, 9999999999999998.0, 0.5])
+        snap = tmp_path / "huge.snap"
+        save_snapshot(eng.state(), snap)
+        code = main(["inspect", "--snapshot-in", str(snap)])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        assert "C1: size 1  centroid 1e+306 1e+16 9999999999999998 0.5\n" in out
+
     def test_resume_matches_uninterrupted_run(self, golden_csv, tmp_path, capsys):
         lines = GOLDEN_CSV.splitlines(keepends=True)
         head, tail = tmp_path / "head.csv", tmp_path / "tail.csv"
@@ -410,6 +443,57 @@ class TestRendering:
         want, cells = render_trace(points, Config(60.0, 6))
         assert err == want
         assert cells["undef"] > 0 and cells["0/0"] > 0
+
+    def test_trace_matches_the_scalar_route_at_the_formatter_edges(self, tmp_path, capsys):
+        # -0.0 against a positive centroid is a -0 cell; 1e300 against 1e-10
+        # is a finite quotient that overflows to inf; 1e307 overflows 100 * d
+        points = [
+            (1.0, 1e-10, 5.0, 2.0),
+            (-0.0, 1e300, 1e307, 2.0),
+            (1.0, 1e-10, 1e307, 2.2),
+            (0.125, 2e-10, 1e12, 0.0),
+            (-0.0, 1e300, 1e307, 1.9),
+            (1.0, 1e-10, 5.5, 2.1),
+        ]
+        data = tmp_path / "edges.csv"
+        data.write_text("".join(",".join(repr(v) for v in p) + "\n" for p in points))
+        code = main(["run", "--strictness", "60", "--input", str(data), "--trace"])
+        _, err = capsys.readouterr()
+        assert code == 0
+        want, _ = render_trace(points, Config(60.0, 4))
+        assert err == want
+        cells = {
+            cell
+            for line in err.splitlines()
+            if line.startswith("[trace]   C")
+            for cell in line.split(": ")[1].split("  ")[0].split()
+        }
+        assert {"-0", "inf", "undef", "1e+297"} <= cells
+
+    @given(st.lists(any_float, max_size=40))
+    def test_fmt2_array_equals_fmt2_per_value(self, values):
+        arr = np.array(values, dtype=np.float64)
+        want = ["undef" if v != v else _fmt2(v) for v in values]
+        assert _fmt2_array(arr) == want
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**41), min_size=1, max_size=8),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_fmt2_array_at_the_half_hundredths(self, hs, ulps):
+        # (h + 0.5) / 100 and a few ulps either side, plus (q +- 2**-11) / 100:
+        # the cells nearest to where .2f rounds the other way
+        values = []
+        for h in hs:
+            mid = (h + 0.5) / 100
+            lo = hi = mid
+            values.append(mid)
+            for _ in range(ulps):
+                lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)
+                values += [float(lo), float(hi)]
+            values += [(h - 2.0**-11) / 100, (h + 2.0**-11) / 100]
+        arr = np.array(values, dtype=np.float64)
+        assert _fmt2_array(arr) == [_fmt2(v) for v in values]
 
 
 DECISIONS = {

@@ -327,6 +327,16 @@ class TestProfileRecording:
             else:
                 assert b.winner_profile == a.winner_profile
 
+    def test_opt_out_winner_profile_matches_after_a_tie_break(self):
+        # over a third of these points take the tie-break, whose winner is
+        # often not the last tied cluster; its average is reused, not redone
+        config, points = Config(60.0, 6), integer_points(random.Random(11), 300, 6, hi=8)
+        _, with_profiles = run_stream(config, points, record_profiles=True)
+        _, without = run_stream(config, points, record_profiles=False)
+        ties = [b for b in without if b.decision_path is DecisionPath.AVG_TIEBREAK]
+        assert len(ties) > 100
+        assert [b.winner_profile for b in without] == [a.winner_profile for a in with_profiles]
+
     @pytest.mark.parametrize("record_profiles", [True, False])
     def test_matched_counts_are_python_ints(self, record_profiles):
         # the kernel counts matches in float64; profiles must not leak that
