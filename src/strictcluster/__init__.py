@@ -38,7 +38,6 @@ from .model import (
     DataPoint,
     DecisionPath,
     MatchProfile,
-    validate_config,
     validate_point,
     verify_state,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "run_stream",
     "save_snapshot",
     "should_match_features",
-    "validate_config",
     "validate_point",
     "verify_state",
     "__version__",

@@ -19,7 +19,7 @@ import numpy as np
 from .engine import ClusteringEngine
 from .errors import ClusteringError
 from .ingestion import PointStream, SkippedLine
-from .model import AssignmentOutcome, DataPoint, DecisionPath, validate_config
+from .model import AssignmentOutcome, Config, DataPoint, DecisionPath, MatchProfile
 from .persistence import load_snapshot, save_snapshot
 from .similarity import feature_similarity, qualifying_range
 
@@ -71,11 +71,16 @@ def _fmt2_array(values: np.ndarray) -> list[str]:
 
 
 @contextlib.contextmanager
-def _open_input(path: str) -> Iterator[IO[str]]:
+def _open_input(path: str) -> Iterator[IO[str] | IO[bytes]]:
     if path == "-":
-        yield sys.stdin
+        # stdin's bytes, which PointStream reads as UTF-8 whatever the
+        # locale; a stdin replaced by a text stream has no buffer
+        yield getattr(sys.stdin, "buffer", sys.stdin)
     else:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        # a lone surrogate marks a byte that is not UTF-8: a bad line
+        with open(
+            path, "r", encoding="utf-8", errors="surrogateescape", newline=""
+        ) as fh:
             yield fh
 
 
@@ -162,6 +167,7 @@ def _print_trace(
     engine: ClusteringEngine,
     dp: DataPoint,
     sims: np.ndarray,
+    profiles: tuple[MatchProfile, ...],
     outcome: AssignmentOutcome,
 ) -> None:
     cfg = engine.config
@@ -173,7 +179,6 @@ def _print_trace(
         f"needs {engine.should_match} of {n}"
     ]
     cells = _fmt2_array(sims)
-    profiles = outcome.profiles
     avgs = _fmt2_array(
         np.array([p.qualifying_avg for p in profiles], dtype=np.float64)
     )
@@ -192,7 +197,7 @@ def _print_trace(
 def _cluster_stream(
     args: argparse.Namespace,
     engine: ClusteringEngine | None,
-    source: IO[str],
+    source: IO[str] | IO[bytes],
     out: IO[str],
 ) -> ClusteringEngine | None:
     """Feed every valid point of ``source`` to the engine, one record each."""
@@ -211,14 +216,15 @@ def _cluster_stream(
             engine = ClusteringEngine(stream.config)
         do_trace = args.trace and traced < TRACE_LIMIT
         # Tables must reflect the pre-insertion state, so compute them first.
-        sims = _sim_rows(engine, dp) if do_trace else None
+        if do_trace:
+            sims, profiles = _sim_rows(engine, dp), engine.profiles(dp)
         try:
-            outcome = engine.assign(dp, record_profiles=do_trace)
+            outcome = engine.assign(dp)
         except ClusteringError as err:
             err.line_number = stream.line_number
             raise
         if do_trace:
-            _print_trace(engine, dp, sims, outcome)
+            _print_trace(engine, dp, sims, profiles, outcome)
             traced += 1
             if traced == TRACE_LIMIT:
                 print(
@@ -237,7 +243,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     else:
         # Surface a bad strictness before reading anything (the width
         # placeholder is irrelevant; only the range check matters here).
-        validate_config(args.strictness, 1)
+        Config(args.strictness, 1)
     with _open_input(args.input) as source, _open_output(args.output) as out:
         engine = _cluster_stream(args, engine, source, out)
         if args.summary:

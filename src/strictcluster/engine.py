@@ -129,54 +129,20 @@ class ClusteringEngine:
             config=self.config, clusters=clusters, points_seen=self._points_seen
         )
 
-    def assign(
-        self,
-        point: DataPoint | Sequence[float],
-        *,
-        record_profiles: bool = True,
-    ) -> AssignmentOutcome:
+    def assign(self, point: DataPoint | Sequence[float]) -> AssignmentOutcome:
         """Place one point and update the receiving cluster.
 
         Accepts a validated DataPoint whose seq continues the stream, or a
         bare feature sequence which is validated and stamped with the next
-        seq. With ``record_profiles`` off, only the winner's profile is
-        kept, which is much cheaper on wide states.
+        seq. The outcome reports the winner's profile only; :meth:`profiles`
+        scores the point against every cluster.
         """
         dp = self._coerce(point)
         f = np.asarray(dp.features, dtype=np.float64)
-        k = self._k
-
-        if k == 0:
-            cid = self._create(f, dp.seq)
-            return AssignmentOutcome(
-                point_seq=dp.seq,
-                assigned_cluster_id=cid,
-                created_new=True,
-                decision_path=DecisionPath.EMPTY_LIST_NEW_CLUSTER,
-                profiles=() if record_profiles else None,
-            )
 
         # Score against every cluster as the state stood before this point.
-        cents = self._cents[:, :k]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            sims = (100.0 * f)[:, None] / cents
-            # 100 * d overflows for d above about 1.8e306: those rows divide
-            # first, as 100 * (d / c)
-            if 100.0 * max(dp.features) == math.inf:
-                for j in np.isinf(100.0 * f).nonzero()[0]:
-                    sims[j] = 100.0 * (f[j] / cents[j])
-            # zero centroid feature: an exactly-zero point value is identical
-            # (similarity 100, fixed up here from the nan of 0/0); a positive
-            # one is undefined and the inf left by the division never falls
-            # inside the band. `in` compares with ==, so -0.0 counts as zero.
-            if 0.0 in dp.features:
-                for j in (f == 0.0).nonzero()[0]:
-                    row = sims[j]
-                    row[cents[j] == 0.0] = 100.0
-            band = (sims >= self._lo) & (sims <= self._hi)
-            matched = np.add.reduce(
-                band.view(np.uint8), axis=0, dtype=self._count_type
-            )
+            sims, band, matched = self._score(f, dp.features)
             qualified_ids = (matched >= self._need).nonzero()[0]
 
             win_avg = None
@@ -198,39 +164,83 @@ class ClusteringEngine:
             if widx >= 0:
                 total = self._sums[widx] + f
 
-        created = widx < 0
-        if created:
-            cid = self._create(f, dp.seq)
+        if widx < 0:
+            return AssignmentOutcome(
+                point_seq=dp.seq,
+                assigned_cluster_id=self._create(f, dp.seq),
+                created_new=True,
+                decision_path=path,
+            )
         # sums and features are finite and >= 0, so an overflow is +inf
-        elif math.inf in total.tolist():
+        if math.inf in total.tolist():
             raise FeatureSumOverflow(
                 f"point seq {dp.seq} would overflow a feature sum of "
                 f"cluster {widx + 1} past the largest float"
             )
-        else:
-            self._join(widx, total, dp.seq)
-            cid = widx + 1
-
-        profiles = winner_profile = None
-        if record_profiles:
-            profiles = self._profiles(sims, band, matched)
-            if not created:
-                winner_profile = profiles[widx]
-        elif not created:
-            # a winner qualified, so it matched at least one feature
-            if win_avg is None:
-                win_avg = self._qualifying_avg(sims[:, widx], band[:, widx])
-            winner_profile = MatchProfile(widx + 1, int(matched[widx]), win_avg)
+        self._join(widx, total, dp.seq)
+        # a winner qualified, so it matched at least one feature
+        if win_avg is None:
+            win_avg = self._qualifying_avg(sims[:, widx], band[:, widx])
         return AssignmentOutcome(
             point_seq=dp.seq,
-            assigned_cluster_id=cid,
-            created_new=created,
+            assigned_cluster_id=widx + 1,
+            created_new=False,
             decision_path=path,
-            profiles=profiles,
-            winner_profile=winner_profile,
+            winner_profile=MatchProfile(widx + 1, int(matched[widx]), win_avg),
+        )
+
+    def profiles(
+        self, point: DataPoint | Sequence[float]
+    ) -> tuple[MatchProfile, ...]:
+        """How ``point`` scores against every cluster, in id order.
+
+        Read-only: it scores as :meth:`assign` would next, against the state
+        as it stands, and changes nothing. Assigning the same point then
+        reports its winner's entry as ``winner_profile``.
+        """
+        dp = self._coerce(point)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sims, band, matched = self._score(
+                np.asarray(dp.features, dtype=np.float64), dp.features
+            )
+        # _qualifying_avg's arithmetic for every cluster at once: a
+        # left-to-right running sum over the features, where adding 0.0 for an
+        # out-of-band feature is exact. A plain sum may add pairwise.
+        folded = np.where(band, np.where(sims <= 100.0, sims, 200.0 - sims), 0.0)
+        totals = np.add.accumulate(folded, axis=0)[-1].tolist()
+        return tuple(
+            MatchProfile(i, int(c), t / c if c else None)
+            for i, (c, t) in enumerate(zip(matched.tolist(), totals), start=1)
         )
 
     # -- internals ---------------------------------------------------------
+
+    def _score(
+        self, f: np.ndarray, features: tuple[float, ...]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Similarities, band mask and matched counts of one point, n by k.
+
+        ``f`` is ``features`` as float64. Callers hold np.errstate with
+        divide, invalid and over ignored.
+        """
+        cents = self._cents[:, : self._k]
+        sims = (100.0 * f)[:, None] / cents
+        # 100 * d overflows for d above about 1.8e306: those rows divide
+        # first, as 100 * (d / c)
+        if 100.0 * max(features) == math.inf:
+            for j in np.isinf(100.0 * f).nonzero()[0]:
+                sims[j] = 100.0 * (f[j] / cents[j])
+        # zero centroid feature: an exactly-zero point value is identical
+        # (similarity 100, fixed up here from the nan of 0/0); a positive
+        # one is undefined and the inf left by the division never falls
+        # inside the band. `in` compares with ==, so -0.0 counts as zero.
+        if 0.0 in features:
+            for j in (f == 0.0).nonzero()[0]:
+                row = sims[j]
+                row[cents[j] == 0.0] = 100.0
+        band = (sims >= self._lo) & (sims <= self._hi)
+        matched = np.add.reduce(band.view(np.uint8), axis=0, dtype=self._count_type)
+        return sims, band, matched
 
     def _coerce(self, point: DataPoint | Sequence[float]) -> DataPoint:
         if isinstance(point, DataPoint):
@@ -301,34 +311,16 @@ class ClusteringEngine:
                 best = i
         return best, best_avg
 
-    @staticmethod
-    def _profiles(
-        sims: np.ndarray, band: np.ndarray, matched: np.ndarray
-    ) -> tuple[MatchProfile, ...]:
-        # Every cluster at once, with _qualifying_avg's arithmetic: a
-        # left-to-right running sum over the features, where adding 0.0 for an
-        # out-of-band feature is exact. A plain sum may add pairwise. For the
-        # winner's column alone, _qualifying_avg is the cheaper route.
-        folded = np.where(band, np.where(sims <= 100.0, sims, 200.0 - sims), 0.0)
-        totals = np.add.accumulate(folded, axis=0)[-1].tolist()
-        return tuple(
-            MatchProfile(i, int(c), t / c if c else None)
-            for i, (c, t) in enumerate(zip(matched.tolist(), totals), start=1)
-        )
-
 
 def run_stream(
-    config: Config,
-    points: Iterable[DataPoint | Sequence[float]],
-    *,
-    record_profiles: bool = True,
+    config: Config, points: Iterable[DataPoint | Sequence[float]]
 ) -> tuple[ClusterState, list[AssignmentOutcome]]:
     """Fold :meth:`ClusteringEngine.assign` over a whole stream in order."""
     eng = ClusteringEngine(config)
     outcomes = []
     for point in points:
         try:
-            outcomes.append(eng.assign(point, record_profiles=record_profiles))
+            outcomes.append(eng.assign(point))
         except Exception as err:
             if getattr(err, "point_seq", None) is None:
                 err.point_seq = eng.points_seen  # type: ignore[attr-defined]

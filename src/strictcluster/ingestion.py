@@ -7,8 +7,10 @@ JSONL: one object per line with a required "features" array of numbers
 (an integer too large for a float is a parse error) and an optional "id"
 string kept as the point's label.
 
-Blank lines are ignored everywhere. Points receive consecutive seq numbers
-in input order; skipped lines do not consume a seq.
+Input is UTF-8. One byte-order mark (U+FEFF) at the start of the first
+line is dropped; a line that is not valid UTF-8 is a bad line. Blank lines
+are ignored everywhere. Points receive consecutive seq numbers in input
+order; skipped lines do not consume a seq.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import IO, Callable, Iterator
 
 from .errors import ClusteringError, ParseError
-from .model import Config, DataPoint, validate_config, validate_point
+from .model import Config, DataPoint, validate_point
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,12 +106,36 @@ def _jsonl_numbers(feats: list) -> list[float]:
 
 
 def _text_lines(source: IO[str] | IO[bytes]) -> Iterator[str]:
-    for raw in source:
-        yield raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    """The source's lines as text, less one byte-order mark at the start.
+
+    Bytes are decoded as UTF-8 with each undecodable byte kept as a lone
+    surrogate, so that only its own line fails, in _check_utf8.
+    """
+    lines = iter(source)
+    first = next(lines, None)
+    if first is None:
+        return
+    if isinstance(first, bytes):
+        first = first.decode("utf-8", "surrogateescape")
+        lines = (raw.decode("utf-8", "surrogateescape") for raw in lines)
+    yield first.removeprefix("\ufeff")
+    yield from lines
+
+
+def _check_utf8(text: str) -> None:
+    """Reject a line holding a lone surrogate: bytes that were not UTF-8."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError("not valid UTF-8") from None
 
 
 class PointStream:
     """Iterable over the valid DataPoints of a text or byte source.
+
+    A byte source is read as UTF-8. A text source should keep undecodable
+    bytes as lone surrogates (``errors="surrogateescape"``), which make
+    their line a bad line.
 
     When ``config`` is None, the feature width is inferred from the first
     valid record and combined with ``strictness`` into a Config, available
@@ -152,18 +178,19 @@ class PointStream:
             text = raw.rstrip("\r\n")
             if not text.strip():
                 continue
-            if not saw_content:
-                saw_content = True
-                if self._fmt == "csv" and self._looks_like_header(text):
-                    continue
+            first, saw_content = not saw_content, True
             try:
+                if not text.isascii():
+                    _check_utf8(text)
+                if first and self._fmt == "csv" and self._looks_like_header(text):
+                    continue
                 if self._fmt == "csv":
                     values, label = _parse_csv_fields(text), None
                 else:
                     values, label = _parse_jsonl_fields(text)
                 if self.config is None:
                     # first valid record fixes the dimensionality for the whole run
-                    self.config = validate_config(self._strictness, len(values))
+                    self.config = Config(self._strictness, len(values))
                 point = validate_point(
                     values, self.config, seq=self._next_seq, label=label
                 )

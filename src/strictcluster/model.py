@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -38,11 +38,6 @@ class Config:
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise BadDimensionality(f"n_features must be a positive integer, got {n!r}")
         object.__setattr__(self, "strictness", float(s))
-
-
-def validate_config(strictness: float, n_features: int) -> Config:
-    """Build a Config, rejecting out-of-range strictness or dimensionality."""
-    return Config(strictness, n_features)
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,19 +124,16 @@ class MatchProfile:
 class AssignmentOutcome:
     """Result of assigning one point.
 
-    ``profiles`` holds one MatchProfile per pre-existing cluster in id order
-    when profile recording is enabled, and None when it was skipped for
-    throughput. ``winner_profile`` is always present for joins (it reflects
-    the receiving cluster as it stood before the point joined) and None when
-    a new cluster was created.
+    ``winner_profile`` is present for joins (it reflects the receiving
+    cluster as it stood before the point joined) and None when a new
+    cluster was created.
     """
 
     point_seq: int
     assigned_cluster_id: int
     created_new: bool
     decision_path: DecisionPath
-    profiles: tuple[MatchProfile, ...] | None = field(default=None)
-    winner_profile: MatchProfile | None = field(default=None)
+    winner_profile: MatchProfile | None = None
 
 
 REPLAY_REL_TOL = 1e-9  # relative error verify_state allows a replayed sum

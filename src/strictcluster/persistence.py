@@ -28,7 +28,7 @@ from .errors import (
     SnapshotFormatError,
     VersionUnsupported,
 )
-from .model import Cluster, ClusterState, validate_config, verify_state
+from .model import Cluster, ClusterState, Config, verify_state
 
 SNAPSHOT_FORMAT = "strictcluster-snapshot"
 SNAPSHOT_VERSION = 1
@@ -83,7 +83,10 @@ def save_snapshot(state: ClusterState, destination: str | os.PathLike) -> None:
 
 def load_snapshot(source: str | os.PathLike) -> ClusterState:
     """Read a snapshot back; the result passes every ClusterState invariant."""
-    text = Path(source).read_text(encoding="utf-8")
+    try:
+        text = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise SnapshotFormatError("snapshot is not UTF-8 text") from None
     header_line, sep, rest = text.partition("\n")
     if not sep:
         raise SnapshotFormatError("snapshot is missing its payload line")
@@ -111,9 +114,7 @@ def load_snapshot(source: str | os.PathLike) -> ClusterState:
 
     try:
         doc = json.loads(payload_text)
-        config = validate_config(
-            doc["config"]["strictness"], doc["config"]["n_features"]
-        )
+        config = Config(doc["config"]["strictness"], doc["config"]["n_features"])
         clusters = tuple(map(_cluster, doc["clusters"]))
         points_seen = doc["points_seen"]
         if type(points_seen) is not int:

@@ -88,8 +88,8 @@ def test_criterion_3_tiebreak_numerics(capsys):
         eng = ClusteringEngine(GOLDEN_CONFIG)
         for point in GOLDEN_POINTS[:4]:
             eng.assign(point)
+        profiles = {p.cluster_id: p for p in eng.profiles(GOLDEN_POINTS[4])}
         outcome = eng.assign(GOLDEN_POINTS[4])
-        profiles = {p.cluster_id: p for p in outcome.profiles}
         assert profiles[1].matched_count == 8
         assert profiles[3].matched_count == 8
         assert abs(profiles[1].qualifying_avg - 87.87) <= 0.01
@@ -109,7 +109,7 @@ def _replay_invariant(n_streams):
     rng = random.Random(501)
     for _ in range(n_streams):
         strictness, n, points = random_case(rng, rng.randint(1, 60))
-        state, _ = run_stream(Config(strictness, n), points, record_profiles=False)
+        state, _ = run_stream(Config(strictness, n), points)
         verify_state(state, points)
         for cluster in state.clusters:
             centroid = cluster.centroid()
@@ -125,15 +125,19 @@ def _scaling_equivariance(n_streams):
         strictness, n, points = random_case(rng, rng.randint(2, 60))
         factors = power_of_two_factors(rng, n)
         scaled = [[v * f for v, f in zip(p, factors)] for p in points]
-        state_a, out_a = run_stream(Config(strictness, n), points)
-        state_b, out_b = run_stream(Config(strictness, n), scaled)
-        key = lambda outs: [
-            (o.assigned_cluster_id, o.created_new, o.decision_path) for o in outs
-        ]
-        assert key(out_a) == key(out_b)
-        for a, b in zip(out_a, out_b):
-            assert [p.matched_count for p in a.profiles] == [p.matched_count for p in b.profiles]
-            assert [p.qualifying_avg for p in a.profiles] == [p.qualifying_avg for p in b.profiles]
+        eng_a = ClusteringEngine(Config(strictness, n))
+        eng_b = ClusteringEngine(Config(strictness, n))
+        for p, q in zip(points, scaled):
+            prof_a, prof_b = eng_a.profiles(p), eng_b.profiles(q)
+            assert [a.matched_count for a in prof_a] == [b.matched_count for b in prof_b]
+            assert [a.qualifying_avg for a in prof_a] == [b.qualifying_avg for b in prof_b]
+            out_a, out_b = eng_a.assign(p), eng_b.assign(q)
+            assert (out_a.assigned_cluster_id, out_a.created_new, out_a.decision_path) == (
+                out_b.assigned_cluster_id,
+                out_b.created_new,
+                out_b.decision_path,
+            )
+        state_a, state_b = eng_a.state(), eng_b.state()
         for ca, cb in zip(state_a.clusters, state_b.clusters):
             assert ca.member_seqs == cb.member_seqs
             for va, vb, f in zip(ca.centroid(), cb.centroid(), factors):
@@ -146,7 +150,7 @@ def _oracle_equivalence(n_long, n_short):
     lengths += [rng.randint(1, 80) for _ in range(n_short)]
     for length in lengths:
         strictness, n, points = random_case(rng, length)
-        state, outcomes = run_stream(Config(strictness, n), points, record_profiles=False)
+        state, outcomes = run_stream(Config(strictness, n), points)
         clusterer, results = naive_run(strictness, n, points)
         got = [
             (o.assigned_cluster_id, o.created_new, o.decision_path.value) for o in outcomes
@@ -174,7 +178,7 @@ def _suffix_resume(n_splits, tmp_path):
             save_snapshot(head, snap)
             eng = ClusteringEngine.from_state(load_snapshot(snap))
             for p in points[cut:]:
-                eng.assign(p, record_profiles=False)
+                eng.assign(p)
             final = eng.state()
             assert final == full
             for a, b in zip(final.clusters, full.clusters):
@@ -228,7 +232,7 @@ def test_criterion_6_throughput(capsys):
             k_before = eng.cluster_count
             t0 = time.perf_counter()
             for p in chunk:
-                eng.assign(p, record_profiles=False)
+                eng.assign(p)
             per_point.append((time.perf_counter() - t0) / window)
             k_mid.append((k_before + eng.cluster_count) / 2)
         total = time.perf_counter() - start

@@ -529,7 +529,7 @@ def render_trace(points, config):
             )
             tail = "" if avg is None else f"  avg {_fmt2(avg)}"
             lines.append(f"[trace]   C{cid}: {' '.join(row)}  matched {matched}{tail}")
-        outcome = eng.assign(dp, record_profiles=False)
+        outcome = eng.assign(dp)
         cid = outcome.assigned_cluster_id
         avg = profiles[cid][1] if cid in profiles else None
         decision = DECISIONS[outcome.decision_path].format(cid, None if avg is None else _fmt2(avg))

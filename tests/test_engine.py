@@ -86,16 +86,17 @@ class TestGoldenTrace:
         eng = ClusteringEngine(GOLDEN_CONFIG)
         assert eng.should_match == 6
         for seq, point in enumerate(GOLDEN_POINTS):
+            profiles = eng.profiles(point)
             outcome = eng.assign(point)
             cid, created, path = GOLDEN_ASSIGNMENTS[seq]
             assert outcome.point_seq == seq
             assert outcome.assigned_cluster_id == cid
             assert outcome.created_new is created
             assert outcome.decision_path.value == path
-            matched = {p.cluster_id: p.matched_count for p in outcome.profiles}
+            matched = {p.cluster_id: p.matched_count for p in profiles}
             assert matched == GOLDEN_MATCHED[seq]
             if seq == 4:
-                by_id = {p.cluster_id: p for p in outcome.profiles}
+                by_id = {p.cluster_id: p for p in profiles}
                 for cid_, want in GOLDEN_TIEBREAK_AVGS.items():
                     assert round(by_id[cid_].qualifying_avg, 2) == want
                 assert outcome.winner_profile.matched_count == 8
@@ -119,11 +120,11 @@ class TestGoldenTrace:
 class TestDispatchBranches:
     def test_first_point_founds_cluster_one(self):
         eng = ClusteringEngine(Config(60.0, 2))
+        assert eng.profiles([4.0, 9.0]) == ()
         outcome = eng.assign([4.0, 9.0])
         assert outcome.assigned_cluster_id == 1
         assert outcome.created_new
         assert outcome.decision_path.value == "EMPTY_LIST_NEW_CLUSTER"
-        assert outcome.profiles == ()
         assert outcome.winner_profile is None
 
     def test_max_matched_beats_fewer_matches(self):
@@ -136,9 +137,9 @@ class TestDispatchBranches:
             points_seen=2,
         )
         eng = ClusteringEngine.from_state(state)
-        outcome = eng.assign([10.0, 10.0, 14.0])
         # both qualify (need 2), but cluster 1 matches on all three features
-        matched = {p.cluster_id: p.matched_count for p in outcome.profiles}
+        matched = {p.cluster_id: p.matched_count for p in eng.profiles([10.0, 10.0, 14.0])}
+        outcome = eng.assign([10.0, 10.0, 14.0])
         assert matched == {1: 3, 2: 2}
         assert outcome.decision_path.value == "MAX_MATCHED"
         assert outcome.assigned_cluster_id == 1
@@ -148,10 +149,10 @@ class TestDispatchBranches:
         eng = ClusteringEngine(Config(50.0, 2))
         assert eng.assign([10.0, 40.0]).created_new
         assert eng.assign([40.0, 10.0]).created_new  # 400/25 vs C1: no match
-        outcome = eng.assign([20.0, 20.0])
         # against C1 sims are (200, 50), against C2 (50, 200): matched one
         # each, scaled average 50 each, so the earlier cluster keeps it
-        profiles = {p.cluster_id: p for p in outcome.profiles}
+        profiles = {p.cluster_id: p for p in eng.profiles([20.0, 20.0])}
+        outcome = eng.assign([20.0, 20.0])
         assert profiles[1].matched_count == profiles[2].matched_count == 1
         assert profiles[1].qualifying_avg == profiles[2].qualifying_avg == 50.0
         assert outcome.decision_path.value == "AVG_TIEBREAK"
@@ -310,43 +311,55 @@ class TestStateRoundTrip:
         assert step(state1, [5.5]) == (state2, out2)
 
 
+def profiled_run(config, points):
+    """run_stream, plus each point's profiles() taken just before its assign."""
+    eng = ClusteringEngine(config)
+    outcomes, profiles = [], []
+    for p in points:
+        profiles.append(eng.profiles(p))
+        outcomes.append(eng.assign(p))
+    return eng.state(), outcomes, profiles
+
+
 class TestProfileRecording:
-    def test_opt_out_skips_per_cluster_profiles_only(self):
-        with_profiles = run_stream(GOLDEN_CONFIG, GOLDEN_POINTS, record_profiles=True)
-        without = run_stream(GOLDEN_CONFIG, GOLDEN_POINTS, record_profiles=False)
-        assert with_profiles[0] == without[0]
-        for a, b in zip(with_profiles[1], without[1]):
-            assert (a.assigned_cluster_id, a.created_new, a.decision_path) == (
-                b.assigned_cluster_id,
-                b.created_new,
-                b.decision_path,
-            )
-            assert b.profiles is None
-            if b.created_new:
-                assert b.winner_profile is None
+    """assign reports the winner's profile; profiles() reports every cluster's."""
+
+    def assert_winners_are_profiled(self, outcomes, profiles):
+        for outcome, before in zip(outcomes, profiles):
+            if outcome.created_new:
+                assert outcome.winner_profile is None
             else:
-                assert b.winner_profile == a.winner_profile
+                assert outcome.winner_profile == before[outcome.assigned_cluster_id - 1]
+
+    def test_opt_out_skips_per_cluster_profiles_only(self):
+        # assign alone, never asked for profiles(), reaches the same state
+        # and outcomes: profiles() changes nothing
+        state, outcomes, profiles = profiled_run(GOLDEN_CONFIG, GOLDEN_POINTS)
+        assert run_stream(GOLDEN_CONFIG, GOLDEN_POINTS) == (state, outcomes)
+        self.assert_winners_are_profiled(outcomes, profiles)
 
     def test_opt_out_winner_profile_matches_after_a_tie_break(self):
         # over a third of these points take the tie-break, whose winner is
         # often not the last tied cluster; its average is reused, not redone
         config, points = Config(60.0, 6), integer_points(random.Random(11), 300, 6, hi=8)
-        _, with_profiles = run_stream(config, points, record_profiles=True)
-        _, without = run_stream(config, points, record_profiles=False)
-        ties = [b for b in without if b.decision_path is DecisionPath.AVG_TIEBREAK]
+        _, outcomes, profiles = profiled_run(config, points)
+        ties = [o for o in outcomes if o.decision_path is DecisionPath.AVG_TIEBREAK]
         assert len(ties) > 100
-        assert [b.winner_profile for b in without] == [a.winner_profile for a in with_profiles]
+        self.assert_winners_are_profiled(outcomes, profiles)
 
-    @pytest.mark.parametrize("record_profiles", [True, False])
-    def test_matched_counts_are_python_ints(self, record_profiles):
-        # the kernel counts matches in float64; profiles must not leak that
+    @pytest.mark.parametrize("with_profiles", [True, False])
+    def test_matched_counts_are_python_ints(self, with_profiles):
+        # the kernel counts matches in uint8; profiles must not leak that
         rng = random.Random(11)
         points = integer_points(rng, 80, 6, hi=8)
-        _, outcomes = run_stream(Config(60.0, 6), points, record_profiles=record_profiles)
+        if with_profiles:
+            _, outcomes, per_point = profiled_run(Config(60.0, 6), points)
+        else:
+            (_, outcomes), per_point = run_stream(Config(60.0, 6), points), []
         profiles = [o.winner_profile for o in outcomes if o.winner_profile is not None]
-        for o in outcomes:
-            profiles.extend(o.profiles or ())
-        assert len(profiles) > (len(outcomes) if record_profiles else 10)
+        for before in per_point:
+            profiles.extend(before)
+        assert len(profiles) > (len(outcomes) if with_profiles else 10)
         assert all(type(p.matched_count) is int for p in profiles)
 
     @pytest.mark.parametrize(
@@ -382,8 +395,8 @@ class TestProfileRecording:
                 MatchProfile(cid, *naive_profile(dp.features, cent, strictness))
                 for cid, cent in enumerate(centroids, start=1)
             )
-            outcome = eng.assign(dp, record_profiles=True)
-            assert outcome.profiles == want
+            assert eng.profiles(dp) == want
+            outcome = eng.assign(dp)
             tiebreaks += outcome.decision_path is DecisionPath.AVG_TIEBREAK
             for cent in centroids:
                 folded = []
@@ -426,7 +439,7 @@ class TestAgainstNaiveReference:
 
     @staticmethod
     def assert_agrees(strictness, n, points):
-        state, outcomes = run_stream(Config(strictness, n), points, record_profiles=False)
+        state, outcomes = run_stream(Config(strictness, n), points)
         clusterer, results = naive_run(strictness, n, points)
         got = [
             (
@@ -458,7 +471,7 @@ class TestAgainstNaiveReference:
         state = self.assert_agrees(strictness, 300, points)
         assert len(state.clusters) > 1
         assert max(c.member_count for c in state.clusters) > 1
-        _, outcomes = run_stream(Config(strictness, 300), points, record_profiles=False)
+        _, outcomes = run_stream(Config(strictness, 300), points)
         counts = [o.winner_profile.matched_count for o in outcomes if not o.created_new]
         assert max(counts) > 255
 

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -14,6 +17,7 @@ from strictcluster import (
     ParseError,
     PointStream,
 )
+from strictcluster.cli import main
 from strictcluster.ingestion import _parse_csv_fields, _parse_jsonl_fields
 
 CFG2 = Config(60.0, 2)
@@ -310,3 +314,111 @@ class TestPointStream:
             PointStream(io.StringIO(""), "csv", CFG2, on_error="ignore")
         with pytest.raises(ValueError):
             PointStream(io.StringIO(""), "csv")  # neither config nor strictness
+
+
+# line 2 of each holds the byte 0xff, which no UTF-8 text holds
+NOT_UTF8 = {
+    "csv": b"1,2\n1,\xff2\n3,4\n",
+    "jsonl": b'{"features": [1, 2]}\n{"features": [1, 2], "id": "\xff"}\n'
+    b'{"features": [3, 4]}\n',
+}
+
+
+def run_cli(route, data, argv, tmp_path, capsys):
+    """(exit code, stdout, stderr) of ``run --strictness 60`` reading data.
+
+    "stdin" runs a child whose stdin decodes strictly, as under a UTF-8
+    locale; "file" runs in process with --input.
+    """
+    argv = ["run", "--strictness", "60", *argv]
+    if route == "stdin":
+        proc = subprocess.run(
+            [sys.executable, "-m", "strictcluster", *argv],
+            input=data,
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+            timeout=60,
+        )
+        return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    code = main([*argv, "--input", str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestEncoding:
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_bytes_not_utf8_halt_at_their_line(self, fmt):
+        stream = PointStream(io.BytesIO(NOT_UTF8[fmt]), fmt, CFG2)
+        with pytest.raises(ParseError, match="^not valid UTF-8$") as exc:
+            collect(stream)
+        assert exc.value.line_number == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_bytes_not_utf8_are_skipped_as_a_bad_line(self, fmt):
+        seen = []
+        stream = PointStream(
+            io.BytesIO(NOT_UTF8[fmt]), fmt, CFG2, on_error="skip", on_skip=seen.append
+        )
+        assert [p.features for p in collect(stream)] == [(1.0, 2.0), (3.0, 4.0)]
+        assert [str(s) for s in seen] == ["line 2: not valid UTF-8"]
+
+    @pytest.mark.parametrize("policy", ["halt", "skip"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("route", ["file", "stdin"])
+    def test_cli_bytes_not_utf8_are_a_bad_line(self, route, fmt, policy, tmp_path, capsys):
+        code, out, err = run_cli(
+            route, NOT_UTF8[fmt], ["--format", fmt, "--on-error", policy], tmp_path, capsys
+        )
+        seqs = [json.loads(line)["seq"] for line in out.splitlines()]
+        if policy == "halt":
+            assert (code, seqs) == (1, [0])
+            assert err == "strictcluster: error: line 2: not valid UTF-8\n"
+        else:
+            assert (code, seqs) == (0, [0, 1])
+            assert err == "strictcluster: skipped line 2: not valid UTF-8\n"
+
+    @pytest.mark.parametrize("route", ["file", "stdin"])
+    def test_cli_drops_a_byte_order_mark(self, route, tmp_path, capsys):
+        code, out, err = run_cli(
+            route, b"\xef\xbb\xbf3,4\n3,4\n", ["--summary"], tmp_path, capsys
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out.splitlines()[-1])["points_seen"] == 2
+
+    def test_a_first_line_not_utf8_is_not_taken_as_a_header(self):
+        stream = PointStream(io.BytesIO(b"\xff,y\n1,2\n"), "csv", CFG2)
+        with pytest.raises(ParseError, match="^not valid UTF-8$") as exc:
+            collect(stream)
+        assert exc.value.line_number == 1
+
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["text", "bytes"])
+    @pytest.mark.parametrize(
+        "fmt,text",
+        [
+            ("csv", "\ufeff3,4\n3,4\n"),
+            ("csv", "\ufeffx,y\n3,4\n3,4\n"),
+            ("jsonl", '\ufeff{"features": [3, 4]}\n{"features": [3, 4]}\n'),
+        ],
+        ids=["csv", "csv-header", "jsonl"],
+    )
+    def test_one_byte_order_mark_at_the_start_is_dropped(self, as_bytes, fmt, text):
+        source = io.BytesIO(text.encode()) if as_bytes else io.StringIO(text)
+        points = collect(PointStream(source, fmt, CFG2))
+        assert [p.features for p in points] == [(3.0, 4.0), (3.0, 4.0)]
+
+    @pytest.mark.parametrize(
+        "fmt,text,bad_line",
+        [
+            ("csv", "3,4\n\ufeff3,4\n", 2),
+            ("csv", "3,4\n3,\ufeff4\n", 2),
+            ("jsonl", '{"features": [3, 4]}\n\ufeff{"features": [3, 4]}\n', 2),
+            ("jsonl", '\ufeff\ufeff{"features": [3, 4]}\n{"features": [3, 4]}\n', 1),
+        ],
+    )
+    def test_a_byte_order_mark_elsewhere_is_a_parse_error(self, fmt, text, bad_line):
+        stream = PointStream(io.StringIO(text), fmt, CFG2)
+        with pytest.raises(ParseError) as exc:
+            collect(stream)
+        assert exc.value.line_number == bad_line

@@ -18,7 +18,6 @@ from strictcluster import (
     NegativeFeature,
     NonFiniteFeature,
     StrictnessOutOfRange,
-    validate_config,
     validate_point,
     verify_state,
 )
@@ -43,9 +42,6 @@ class TestConfig:
     def test_rejects_bad_width(self, bad):
         with pytest.raises(BadDimensionality):
             Config(60.0, bad)
-
-    def test_validate_config_returns_config(self):
-        assert validate_config(75, 4) == Config(75.0, 4)
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

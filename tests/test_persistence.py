@@ -243,6 +243,18 @@ class TestCorruption:
         assert main(["inspect", "--snapshot-in", str(snap)]) == 1
         assert capsys.readouterr().out == ""
 
+    def test_bytes_not_utf8_are_a_format_error(self, golden_state, tmp_path, capsys):
+        # a valid snapshot with one byte of its payload made invalid UTF-8
+        path = self.write(tmp_path, golden_state)
+        path.write_bytes(path.read_bytes().replace(b'"clusters"', b'"clust\xffrs"'))
+        with pytest.raises(SnapshotFormatError, match="^snapshot is not UTF-8 text$"):
+            load_snapshot(path)
+        for argv in (["inspect"], ["resume", "--input", str(tmp_path / "absent.csv")]):
+            assert main(argv + ["--snapshot-in", str(path)]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "strictcluster: error: snapshot is not UTF-8 text\n"
+
     def test_unparseable_payload_with_matching_checksum(self, golden_state, tmp_path):
         import hashlib
 

@@ -81,7 +81,7 @@ def engine_profiles(point, centroids, strictness):
     """The engine's MatchProfiles of ``point`` against one cluster per centroid."""
     clusters = tuple(cluster_with_centroid(c, i) for i, c in enumerate(centroids, start=1))
     state = ClusterState(Config(strictness, len(point)), clusters, points_seen=len(clusters))
-    return ClusteringEngine.from_state(state).assign(point).profiles
+    return ClusteringEngine.from_state(state).profiles(point)
 
 
 def profile(point, centroid, strictness):
