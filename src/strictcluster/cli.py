@@ -72,21 +72,22 @@ def _fmt2_array(values: np.ndarray) -> list[str]:
 
 @contextlib.contextmanager
 def _open_input(path: str) -> Iterator[IO[str] | IO[bytes]]:
+    """The input's bytes, which PointStream decodes as UTF-8 line by line."""
     if path == "-":
-        # stdin's bytes, which PointStream reads as UTF-8 whatever the
-        # locale; a stdin replaced by a text stream has no buffer
+        if sys.stdin is None:  # what Python leaves when fd 0 is closed
+            raise OSError("stdin is closed")
+        # a stdin replaced by a text stream has no buffer
         yield getattr(sys.stdin, "buffer", sys.stdin)
     else:
-        # a lone surrogate marks a byte that is not UTF-8: a bad line
-        with open(
-            path, "r", encoding="utf-8", errors="surrogateescape", newline=""
-        ) as fh:
+        with open(path, "rb") as fh:
             yield fh
 
 
 @contextlib.contextmanager
 def _open_output(path: str) -> Iterator[IO[str]]:
     if path == "-":
+        if sys.stdout is None:  # what Python leaves when fd 1 is closed
+            raise OSError("stdout is closed")
         yield sys.stdout
         sys.stdout.flush()
     else:

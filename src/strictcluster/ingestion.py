@@ -7,10 +7,13 @@ JSONL: one object per line with a required "features" array of numbers
 (an integer too large for a float is a parse error) and an optional "id"
 string kept as the point's label.
 
-Input is UTF-8. One byte-order mark (U+FEFF) at the start of the first
-line is dropped; a line that is not valid UTF-8 is a bad line. Blank lines
-are ignored everywhere. Points receive consecutive seq numbers in input
-order; skipped lines do not consume a seq.
+Byte input is UTF-8, decoded here one line at a time; a line that is not
+valid UTF-8 is a bad line. A text source's lines are taken as already
+decoded. A line ends at ``\n`` only; any ``\r`` just before its end is
+dropped, and a ``\r`` anywhere else is part of the line. One byte-order
+mark (U+FEFF) at the start of the first line is dropped. Blank lines are
+ignored everywhere. Points receive consecutive seq numbers in input order;
+skipped lines do not consume a seq.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ class SkippedLine:
     """Diagnostic for a line dropped under on_error=skip."""
 
     line_number: int
-    raw: str
     error: ClusteringError
 
     def __str__(self) -> str:
@@ -105,37 +107,22 @@ def _jsonl_numbers(feats: list) -> list[float]:
     return values
 
 
-def _text_lines(source: IO[str] | IO[bytes]) -> Iterator[str]:
-    """The source's lines as text, less one byte-order mark at the start.
-
-    Bytes are decoded as UTF-8 with each undecodable byte kept as a lone
-    surrogate, so that only its own line fails, in _check_utf8.
-    """
-    lines = iter(source)
-    first = next(lines, None)
-    if first is None:
-        return
-    if isinstance(first, bytes):
-        first = first.decode("utf-8", "surrogateescape")
-        lines = (raw.decode("utf-8", "surrogateescape") for raw in lines)
-    yield first.removeprefix("\ufeff")
-    yield from lines
-
-
-def _check_utf8(text: str) -> None:
-    """Reject a line holding a lone surrogate: bytes that were not UTF-8."""
+def _decode(raw: bytes) -> str:
     try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
         raise ParseError("not valid UTF-8") from None
 
 
 class PointStream:
     """Iterable over the valid DataPoints of a text or byte source.
 
-    A byte source is read as UTF-8. A text source should keep undecodable
-    bytes as lone surrogates (``errors="surrogateescape"``), which make
-    their line a bad line.
+    A byte source is read as UTF-8, one line at a time: a line ends at
+    ``\n`` only, and a line that is not valid UTF-8 is a bad line. A text
+    source's lines are taken as already decoded, as that source splits
+    them (``io.StringIO`` at ``\n`` only), and are not checked: a lone
+    surrogate in them is not flagged as a bad line. Either way any ``\r``
+    at the end of a line is dropped.
 
     When ``config`` is None, the feature width is inferred from the first
     valid record and combined with ``strictness`` into a Config, available
@@ -174,14 +161,15 @@ class PointStream:
 
     def __iter__(self) -> Iterator[DataPoint]:
         saw_content = False
-        for line_number, raw in enumerate(_text_lines(self._source), start=1):
-            text = raw.rstrip("\r\n")
-            if not text.strip():
-                continue
-            first, saw_content = not saw_content, True
+        for line_number, line in enumerate(self._source, start=1):
             try:
-                if not text.isascii():
-                    _check_utf8(text)
+                text = _decode(line) if isinstance(line, bytes) else line
+                if line_number == 1:
+                    text = text.removeprefix("\ufeff")
+                text = text.rstrip("\r\n")
+                if not text.strip():
+                    continue
+                first, saw_content = not saw_content, True
                 if first and self._fmt == "csv" and self._looks_like_header(text):
                     continue
                 if self._fmt == "csv":
@@ -195,11 +183,12 @@ class PointStream:
                     values, self.config, seq=self._next_seq, label=label
                 )
             except ClusteringError as err:
+                saw_content = True  # a line that will not decode is not blank
                 err.line_number = line_number
                 if self._on_error == "halt":
                     raise
                 if self._on_skip is not None:
-                    self._on_skip(SkippedLine(line_number, text, err))
+                    self._on_skip(SkippedLine(line_number, err))
                 continue
             self._next_seq += 1
             self.line_number = line_number

@@ -549,6 +549,19 @@ class TestSubprocess:
         assert proc.returncode == 0
         assert records_of(proc.stdout)[-1]["sizes"] == [2, 2, 2]
 
+    @pytest.mark.parametrize("stream,redirect", [("stdin", "<&-"), ("stdout", ">&-")])
+    def test_a_closed_standard_stream_is_one_error_line(self, stream, redirect):
+        # the shell closes the descriptor, so Python starts with sys.<stream> None
+        proc = subprocess.run(
+            ["sh", "-c", f'exec "$0" -m strictcluster run --strictness 60 {redirect}',
+             sys.executable],
+            input=None if stream == "stdin" else b"1,2\n",
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == f"strictcluster: error: {stream} is closed\n"
+
     def test_console_script_if_installed(self, golden_csv):
         exe = shutil.which("strictcluster")
         if exe is None:

@@ -259,10 +259,33 @@ class TestPointStream:
         points = collect(PointStream(io.StringIO(text), "csv", CFG2))
         assert [p.seq for p in points] == [0, 1]
 
-    def test_crlf_and_bytes_sources(self):
+    def test_crlf_and_bytes_sources(self, tmp_path, capsys):
         data = b"1,2\r\n3,4\r\n"
         points = collect(PointStream(io.BytesIO(data), "csv", CFG2))
         assert [p.features for p in points] == [(1.0, 2.0), (3.0, 4.0)]
+        # through --input, a CRLF file gives what the same file with LF endings does
+        code, out, err = run_cli("file", data, [], tmp_path, capsys)
+        assert (code, len(out.splitlines()), err) == (0, 2, "")
+        assert run_cli("file", data.replace(b"\r", b""), [], tmp_path, capsys) == (
+            code, out, err
+        )
+
+    def test_a_line_ends_at_newline_only_on_every_route(self, tmp_path, capsys):
+        # line 1 is a header; in line 2 the lone \r is part of a field
+        data = b"a\rb\n1,2\r3,4\n5,6\n"
+        argv = ["--on-error", "skip"]
+        from_file = run_cli("file", data, argv, tmp_path, capsys)
+        from_stdin = run_cli("stdin", data, argv, tmp_path, capsys)
+        assert from_file == from_stdin
+        code, out, err = from_file
+        assert [json.loads(line)["seq"] for line in out.splitlines()] == [0]
+        assert err == "strictcluster: skipped line 2: column 2: '2\\r3' is not a number\n"
+        seen = []
+        stream = PointStream(
+            io.BytesIO(data), "csv", CFG2, on_error="skip", on_skip=seen.append
+        )
+        assert [p.features for p in collect(stream)] == [(5.0, 6.0)]
+        assert [f"strictcluster: skipped {s}\n" for s in seen] == [err]
 
     def test_halt_raises_with_line_number(self):
         stream = PointStream(io.StringIO("1,2\n1,oops\n3,4\n"), "csv", CFG2)
@@ -392,6 +415,16 @@ class TestEncoding:
         with pytest.raises(ParseError, match="^not valid UTF-8$") as exc:
             collect(stream)
         assert exc.value.line_number == 1
+        # it is the first content line, so the line after it is no header either
+        seen = []
+        stream = PointStream(
+            io.BytesIO(b"\xff,y\nx,y\n1,2\n"), "csv", CFG2,
+            on_error="skip", on_skip=seen.append,
+        )
+        assert [p.features for p in collect(stream)] == [(1.0, 2.0)]
+        assert [str(s) for s in seen] == [
+            "line 1: not valid UTF-8", "line 2: column 1: 'x' is not a number"
+        ]
 
     @pytest.mark.parametrize("as_bytes", [False, True], ids=["text", "bytes"])
     @pytest.mark.parametrize(
