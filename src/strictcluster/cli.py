@@ -2,7 +2,9 @@
 
 Machine output (stdout or --output) is JSONL: one assignment record per
 point, plus an optional summary record. Diagnostics, skipped-line reports
-and the --trace tables go to stderr, so piping stdout stays clean.
+and the --trace tables go to stderr, so piping stdout stays clean. Writes
+to stderr are best effort: a closed or failing stderr never changes the
+records, the snapshot or the exit code.
 Exit codes: 0 success, 1 data or snapshot error, 2 usage error.
 """
 
@@ -95,8 +97,18 @@ def _open_output(path: str) -> Iterator[IO[str]]:
             yield fh
 
 
+def _note(text: str) -> None:
+    """Write text to stderr, best effort: a failed write is dropped."""
+    if sys.stderr is None:  # what Python leaves when fd 2 is closed
+        return
+    try:
+        sys.stderr.write(text)
+    except OSError:  # EBADF when fd 2 was reused by a read-only file
+        pass
+
+
 def _report_skip(skipped: SkippedLine) -> None:
-    print(f"{PROG}: skipped {skipped}", file=sys.stderr)
+    _note(f"{PROG}: skipped {skipped}\n")
 
 
 def _diagnostic(err: BaseException) -> str:
@@ -192,7 +204,7 @@ def _print_trace(
     lines.append(f"[trace]   -> {_decision_text(outcome)}\n")
     # one write per point: stderr is line-buffered, so print() per row is a
     # system call per row
-    sys.stderr.write("\n".join(lines))
+    _note("\n".join(lines))
 
 
 def _cluster_stream(
@@ -228,10 +240,7 @@ def _cluster_stream(
             _print_trace(engine, dp, sims, profiles, outcome)
             traced += 1
             if traced == TRACE_LIMIT:
-                print(
-                    f"{PROG}: trace stopped after {TRACE_LIMIT} points",
-                    file=sys.stderr,
-                )
+                _note(f"{PROG}: trace stopped after {TRACE_LIMIT} points\n")
         out.write(_assignment_record(dp, outcome) + "\n")
     return engine
 
@@ -251,10 +260,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             out.write(_summary_record(engine) + "\n")
     if args.snapshot_out:
         if engine is None:
-            print(
+            _note(
                 f"{PROG}: no snapshot written: empty input leaves the "
-                "feature width unknown",
-                file=sys.stderr,
+                "feature width unknown\n"
             )
         else:
             save_snapshot(engine.state(), args.snapshot_out)
@@ -355,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ClusteringError, OSError) as err:
-        print(f"{PROG}: error: {_diagnostic(err)}", file=sys.stderr)
+        _note(f"{PROG}: error: {_diagnostic(err)}\n")
         return 1
 
 

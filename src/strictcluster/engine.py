@@ -13,15 +13,17 @@ check operation for operation, so results are bit-identical to a
 plain-Python evaluation.
 Centroids are stored feature-major, one contiguous row of length k per
 feature, so the scan divides n long rows rather than k rows of n. The
-per-cluster matched count is a column sum of the band matrix viewed as
-uint8, in the smallest unsigned type that holds n. It is exact: each count
-is an integer of at most n, which that type holds, so no sum can wrap.
-Zero centroid features need no tracked state: only a point's own zero
+feature sums stay row-major, one row per cluster, as
+:meth:`ClusteringEngine.state` and snapshots read them. Both arrays are
+exactly k clusters wide, with no spare capacity: a new cluster appends one
+row and one column, an O(k * n) copy, the same order of cost as scoring one
+point. The per-cluster matched count is a column sum of the band matrix
+viewed as uint8, in the smallest unsigned type that holds n. It is exact:
+each count is an integer of at most n, which that type holds, so no sum can
+wrap. Zero centroid features need no tracked state: only a point's own zero
 features can meet a zero centroid feature as 0/0, so only those rows are
-fixed up. The feature sums stay row-major, one row per cluster, as
-:meth:`ClusteringEngine.state` and snapshots read them. A point that would
-drive a feature sum past the largest float is rejected before any state
-changes.
+fixed up. A point that would drive a feature sum past the largest float is
+rejected before any state changes.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ from .model import (
     validate_point,
 )
 from .similarity import qualifying_range
-
-_INITIAL_CAPACITY = 8
 
 
 def should_match_features(config: Config) -> int:
@@ -70,33 +70,33 @@ class ClusteringEngine:
         self._lo, self._hi = qualifying_range(config.strictness)
         self._need = should_match_features(config)
         self._count_type = np.min_scalar_type(self._n)
-        self._k = 0
         self._points_seen = 0
-        cap = _INITIAL_CAPACITY
-        self._sums = np.zeros((cap, self._n), dtype=np.float64)
+        self._sums = np.zeros((0, self._n), dtype=np.float64)
         self._counts: list[int] = []
         # feature-major: column i is cluster i's centroid
-        self._cents = np.zeros((self._n, cap), dtype=np.float64)
+        self._cents = np.zeros((self._n, 0), dtype=np.float64)
         self._members: list[list[int]] = []
 
     @classmethod
     def from_state(cls, state: ClusterState) -> "ClusteringEngine":
         """Rebuild an engine from a saved state; continues exactly where it left off."""
         eng = cls(state.config)
-        k = len(state.clusters)
-        eng._ensure_capacity(k)
-        for i, cl in enumerate(state.clusters):
-            eng._sums[i] = cl.feature_sums
-            eng._counts.append(cl.member_count)
-            eng._cents[:, i] = eng._sums[i] / cl.member_count
-            eng._members.append(list(cl.member_seqs))
-        eng._k = k
+        clusters = state.clusters
+        eng._sums = np.array(
+            [cl.feature_sums for cl in clusters], dtype=np.float64
+        ).reshape(len(clusters), eng._n)
+        eng._counts = [cl.member_count for cl in clusters]
+        # _join's elementwise total / count, into a C-ordered (n, k) array
+        eng._cents = np.ascontiguousarray(eng._sums.T) / np.array(
+            eng._counts, dtype=np.float64
+        )
+        eng._members = [list(cl.member_seqs) for cl in clusters]
         eng._points_seen = state.points_seen
         return eng
 
     @property
     def cluster_count(self) -> int:
-        return self._k
+        return len(self._counts)
 
     @property
     def points_seen(self) -> int:
@@ -108,12 +108,12 @@ class ClusteringEngine:
 
     def centroids(self) -> np.ndarray:
         """Copy of the current centroid matrix, one row per cluster in id order."""
-        return self._cents[:, : self._k].T.copy()
+        return self._cents.T.copy()
 
     def cluster(self, cluster_id: int) -> Cluster:
         """Materialize one cluster as an immutable value."""
         i = cluster_id - 1
-        if not 0 <= i < self._k:
+        if not 0 <= i < self.cluster_count:
             raise InvariantViolation(f"no cluster with id {cluster_id}")
         return Cluster(
             id=cluster_id,
@@ -124,7 +124,7 @@ class ClusteringEngine:
 
     def state(self) -> ClusterState:
         """Immutable snapshot of the full engine state."""
-        clusters = tuple(self.cluster(i + 1) for i in range(self._k))
+        clusters = tuple(self.cluster(i + 1) for i in range(self.cluster_count))
         return ClusterState(
             config=self.config, clusters=clusters, points_seen=self._points_seen
         )
@@ -223,7 +223,7 @@ class ClusteringEngine:
         ``f`` is ``features`` as float64. Callers hold np.errstate with
         divide, invalid and over ignored.
         """
-        cents = self._cents[:, : self._k]
+        cents = self._cents
         sims = (100.0 * f)[:, None] / cents
         # 100 * d overflows for d above about 1.8e306: those rows divide
         # first, as 100 * (d / c)
@@ -257,28 +257,13 @@ class ClusteringEngine:
             return point
         return validate_point(point, self.config, seq=self._points_seen)
 
-    def _ensure_capacity(self, k: int) -> None:
-        cap = self._sums.shape[0]
-        if k <= cap:
-            return
-        new_cap = max(cap * 2, k)
-        sums = np.zeros((new_cap, self._n), dtype=np.float64)
-        sums[:cap] = self._sums
-        self._sums = sums
-        cents = np.zeros((self._n, new_cap), dtype=np.float64)
-        cents[:, :cap] = self._cents
-        self._cents = cents
-
     def _create(self, f: np.ndarray, seq: int) -> int:
-        i = self._k
-        self._ensure_capacity(i + 1)
-        self._sums[i] = f
+        self._sums = np.vstack((self._sums, f))
+        self._cents = np.hstack((self._cents, f[:, None]))
         self._counts.append(1)
-        self._cents[:, i] = f
         self._members.append([seq])
-        self._k = i + 1
         self._points_seen += 1
-        return i + 1
+        return len(self._counts)
 
     def _join(self, i: int, total: np.ndarray, seq: int) -> None:
         self._sums[i] = total

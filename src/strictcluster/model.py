@@ -136,17 +136,15 @@ class AssignmentOutcome:
     winner_profile: MatchProfile | None = None
 
 
-REPLAY_REL_TOL = 1e-9  # relative error verify_state allows a replayed sum
-
-
 def verify_state(
     state: ClusterState, points: Iterable[Sequence[float]] | None = None
 ) -> None:
     """Audit every structural invariant of a ClusterState; raise on failure.
 
     With ``points`` given (the original stream, in arrival order), also
-    replays each cluster's members and checks the stored feature sums
-    against the recomputed ones within ``REPLAY_REL_TOL`` relative error.
+    replays each cluster's members and checks that the stored feature sums
+    equal the recomputed ones exactly: the engine makes the same IEEE
+    additions in the same order.
     """
     n = state.config.n_features
     seen: set[int] = set()
@@ -195,7 +193,7 @@ def verify_state(
                 replayed[j] += feats[j]
         for j in range(n):
             got, want = cluster.feature_sums[j], replayed[j]
-            if not math.isclose(got, want, rel_tol=REPLAY_REL_TOL, abs_tol=1e-12):
+            if got != want:
                 raise InvariantViolation(
                     f"cluster {cluster.id}: feature sum {j + 1} is {got}, replay gives {want}"
                 )

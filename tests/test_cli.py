@@ -562,6 +562,55 @@ class TestSubprocess:
         assert proc.returncode == 1
         assert proc.stderr.decode() == f"strictcluster: error: {stream} is closed\n"
 
+    @staticmethod
+    def run_child(args, stdin, redirect=""):
+        return subprocess.run(
+            ["sh", "-c", f'exec "$0" -m strictcluster run --strictness 60 "$@" {redirect}',
+             sys.executable, *args],
+            input=stdin,
+            capture_output=True,
+            timeout=60,
+        )
+
+    # 2>&- starts Python with sys.stderr None; 2</dev/null leaves a stderr
+    # whose every write fails with EBADF
+    CLOSED_STDERR = pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"])
+
+    @CLOSED_STDERR
+    def test_skip_notes_to_a_closed_stderr_change_nothing(self, redirect, tmp_path):
+        stdin = b"1,2\n1,x\n3,4\n"
+        snaps = [tmp_path / "open.json", tmp_path / "closed.json"]
+        opened = self.run_child(["--on-error", "skip", "--snapshot-out", snaps[0]], stdin)
+        closed = self.run_child(
+            ["--on-error", "skip", "--snapshot-out", snaps[1]], stdin, redirect
+        )
+        assert opened.stderr == b"strictcluster: skipped line 2: column 2: 'x' is not a number\n"
+        assert (closed.returncode, closed.stderr) == (0, b"")
+        assert len(records_of(closed.stdout.decode())) == 2
+        assert closed.stdout == opened.stdout
+        assert snaps[1].read_bytes() == snaps[0].read_bytes()
+
+    @CLOSED_STDERR
+    def test_a_trace_to_a_closed_stderr_changes_nothing(self, redirect):
+        stdin = b"1,2\n1,2.1\n3,4\n5,6\n5,6\n"
+        opened = self.run_child(["--trace"], stdin)
+        closed = self.run_child(["--trace"], stdin, redirect)
+        assert opened.stderr.count(b"[trace]   -> ") == 5
+        assert (closed.returncode, closed.stderr) == (0, b"")
+        assert len(records_of(closed.stdout.decode())) == 5
+        assert closed.stdout == opened.stdout
+
+    @CLOSED_STDERR
+    def test_a_halt_with_a_closed_stderr_still_exits_1(self, redirect):
+        stdin = b"1,2\n3,4\n1,x\n5,6\n"
+        opened = self.run_child([], stdin)
+        closed = self.run_child([], stdin, redirect)
+        assert opened.returncode == 1
+        assert opened.stderr == b"strictcluster: error: line 3: column 2: 'x' is not a number\n"
+        assert (closed.returncode, closed.stderr) == (1, b"")
+        assert len(records_of(closed.stdout.decode())) == 2
+        assert closed.stdout == opened.stdout
+
     def test_console_script_if_installed(self, golden_csv):
         exe = shutil.which("strictcluster")
         if exe is None:

@@ -282,16 +282,32 @@ class TestStateRoundTrip:
 
     def test_resumed_engine_continues_identically(self):
         rng = random.Random(3)
+        cases = []
         for _ in range(10):
             strictness, n, points = random_case(rng, 40)
-            cut = rng.randint(0, len(points))
-            full_state, full_outcomes = run_stream(Config(strictness, n), points)
+            cases.append((Config(strictness, n), points, [rng.randint(0, len(points))]))
+        # Each founder is 1.5x the last in every feature, so it qualifies for
+        # no earlier cluster and k passes 8, 16, 32 and 64 one cluster at a
+        # time; then a jittered copy of each founder joins it. Resumed at
+        # every cut, from_state builds the arrays in one step.
+        founders = [[1.5**i, 3.0 * 1.5**i / 7.0, 0.1 * 1.5**i] for i in range(70)]
+        points = founders + [[v * rng.uniform(0.99, 1.01) for v in p] for p in founders]
+        _, outcomes = run_stream(Config(90.0, 3), points)
+        assert [o.created_new for o in outcomes] == [True] * 70 + [False] * 70
+        cases.append((Config(90.0, 3), points, range(len(points) + 1)))
 
-            head_state, head_outcomes = run_stream(Config(strictness, n), points[:cut])
-            eng = ClusteringEngine.from_state(head_state)
-            tail_outcomes = [eng.assign(p) for p in points[cut:]]
-            assert eng.state() == full_state
-            assert head_outcomes + tail_outcomes == full_outcomes
+        for config, points, cuts in cases:
+            full = ClusteringEngine(config)
+            full_outcomes = [full.assign(p) for p in points]
+            for cut in cuts:
+                head = ClusteringEngine(config)
+                head_outcomes = [head.assign(p) for p in points[:cut]]
+                eng = ClusteringEngine.from_state(head.state())
+                assert eng.centroids().tobytes() == head.centroids().tobytes()
+                tail_outcomes = [eng.assign(p) for p in points[cut:]]
+                assert eng.state() == full.state()
+                assert eng.centroids().tobytes() == full.centroids().tobytes()
+                assert head_outcomes + tail_outcomes == full_outcomes
 
     def test_pure_assign_leaves_input_state_alone(self):
         # from_state, assign, state(): one step from a state value to the next

@@ -217,12 +217,16 @@ class TestVerifyState:
         with pytest.raises(InvariantViolation, match="replay"):
             verify_state(make_state(clusters=(drifted, make_state().clusters[1])), points)
 
-    def test_replay_tolerance_is_relative(self):
+    def test_replay_rejects_a_one_ulp_nudge(self):
         points = [[1.0, 3.0], [9.0, 1.0], [2.0, 4.0]]
-        nudged = dataclasses.replace(
-            make_state().clusters[0], feature_sums=(3.0 * (1.0 + 1e-12), 7.0)
-        )
-        verify_state(make_state(clusters=(nudged, make_state().clusters[1])), points)
+        for nudge in (math.nextafter(3.0, math.inf), math.nextafter(3.0, 0.0)):
+            nudged = dataclasses.replace(
+                make_state().clusters[0], feature_sums=(nudge, 7.0)
+            )
+            with pytest.raises(InvariantViolation, match="replay"):
+                verify_state(
+                    make_state(clusters=(nudged, make_state().clusters[1])), points
+                )
 
 
 class TestOutcomeTypes:
