@@ -8,6 +8,8 @@ the engine, stream ingestion, snapshot persistence, and a CLI wrapper.
 
 from .engine import (
     ClusteringEngine,
+    feature_similarity,
+    qualifying_range,
     run_stream,
     should_match_features,
 )
@@ -46,10 +48,6 @@ from .persistence import (
     SNAPSHOT_VERSION,
     load_snapshot,
     save_snapshot,
-)
-from .similarity import (
-    feature_similarity,
-    qualifying_range,
 )
 
 __version__ = "0.1.0"

@@ -13,17 +13,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
+import stat
 import sys
 from typing import IO, Iterator
 
 import numpy as np
 
-from .engine import ClusteringEngine
+from .engine import ClusteringEngine, feature_similarity, qualifying_range
 from .errors import ClusteringError
 from .ingestion import PointStream, SkippedLine
 from .model import AssignmentOutcome, Config, DataPoint, DecisionPath, MatchProfile
 from .persistence import load_snapshot, save_snapshot
-from .similarity import feature_similarity, qualifying_range
 
 PROG = "strictcluster"
 TRACE_LIMIT = 1000  # points traced per invocation before output is cut off
@@ -86,13 +87,23 @@ def _open_input(path: str) -> Iterator[IO[str] | IO[bytes]]:
 
 
 @contextlib.contextmanager
-def _open_output(path: str) -> Iterator[IO[str]]:
+def _open_output(path: str, source: IO[str] | IO[bytes]) -> Iterator[IO[str]]:
+    """The records' stream. A path naming the regular file that ``source``
+    reads is refused, since opening it would truncate the unread input.
+    """
     if path == "-":
         if sys.stdout is None:  # what Python leaves when fd 1 is closed
             raise OSError("stdout is closed")
         yield sys.stdout
         sys.stdout.flush()
     else:
+        try:  # by descriptor, so a `< file` stdin counts too
+            in_st = os.fstat(source.fileno())
+            same = stat.S_ISREG(in_st.st_mode) and os.path.samestat(in_st, os.stat(path))
+        except (OSError, ValueError):  # no descriptor, or no such output yet
+            same = False
+        if same:
+            raise OSError(f"--output {path} is the input file; it would be truncated")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
 
@@ -104,7 +115,9 @@ def _note(text: str) -> None:
     try:
         sys.stderr.write(text)
     except OSError:  # EBADF when fd 2 was reused by a read-only file
-        pass
+        # the failed text stays in stderr's buffer, and Python's flush at
+        # exit would fail on it again and exit 120: drop the stream instead
+        sys.stderr = None
 
 
 def _report_skip(skipped: SkippedLine) -> None:
@@ -186,7 +199,11 @@ def _print_trace(
     cfg = engine.config
     n = cfg.n_features
     lo, hi = qualifying_range(cfg.strictness)
-    tag = f"point {dp.seq}" + (f" ({dp.label})" if dp.label else "")
+    tag = f"point {dp.seq}"
+    if dp.label:
+        # a newline or other control character in a label could forge lines
+        label = dp.label if dp.label.isprintable() else json.dumps(dp.label)
+        tag += f" ({label})"
     lines = [
         f"[trace] {tag}: band [{_fmt2(lo)}, {_fmt2(hi)}], "
         f"needs {engine.should_match} of {n}"
@@ -254,7 +271,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         # Surface a bad strictness before reading anything (the width
         # placeholder is irrelevant; only the range check matters here).
         Config(args.strictness, 1)
-    with _open_input(args.input) as source, _open_output(args.output) as out:
+    with _open_input(args.input) as source, _open_output(args.output, source) as out:
         engine = _cluster_stream(args, engine, source, out)
         if args.summary:
             out.write(_summary_record(engine) + "\n")

@@ -8,9 +8,9 @@ a new cluster when the list is empty. Centroids are maintained as running
 sums divided by member count.
 
 The per-cluster scan is vectorized with numpy, but every arithmetic step
-mirrors :func:`strictcluster.similarity.feature_similarity` and the band
-check operation for operation, so results are bit-identical to a
-plain-Python evaluation.
+mirrors this module's :func:`feature_similarity` and the band check
+operation for operation, so results are bit-identical to a plain-Python
+evaluation.
 Centroids are stored feature-major, one contiguous row of length k per
 feature, so the scan divides n long rows rather than k rows of n. The
 feature sums stay row-major, one row per cluster, as
@@ -45,7 +45,28 @@ from .model import (
     MatchProfile,
     validate_point,
 )
-from .similarity import qualifying_range
+
+
+def feature_similarity(datapoint_value: float, centroid_value: float) -> float | None:
+    """Similarity percent of a point feature against a centroid feature.
+
+    Returns None (undefined) when the centroid feature is 0 and the point's
+    is positive; such a feature never qualifies. Two exact zeros are
+    identical values and score 100. The value is scaled by 100 before the
+    division; only when that product overflows (value above about 1.8e306)
+    is the ratio taken first, as 100 * (value / centroid).
+    """
+    if centroid_value == 0.0:
+        return 100.0 if datapoint_value == 0.0 else None
+    scaled = 100.0 * datapoint_value
+    if math.isinf(scaled):
+        return 100.0 * (datapoint_value / centroid_value)
+    return scaled / centroid_value
+
+
+def qualifying_range(strictness: float) -> tuple[float, float]:
+    """Inclusive similarity band for a matched feature: (strictness, 200 - strictness)."""
+    return strictness, 200.0 - strictness
 
 
 def should_match_features(config: Config) -> int:
@@ -55,6 +76,19 @@ def should_match_features(config: Config) -> int:
     push a float product such as 7.000000000000001 past the next integer.
     """
     return math.ceil(Fraction(config.strictness) * config.n_features / 100)
+
+
+def _qualifying_avg(sims: np.ndarray, band: np.ndarray, i: int) -> float:
+    """Average of cluster i's in-band similarities, each v above 100 as 200 - v.
+
+    A plain left-to-right sum in feature order: identical arithmetic to a
+    scalar loop over the features.
+    """
+    total = 0.0
+    vals = sims[:, i][band[:, i]].tolist()
+    for v in vals:
+        total += v if v <= 100.0 else 200.0 - v
+    return total / len(vals)
 
 
 class ClusteringEngine:
@@ -159,7 +193,11 @@ class ClusteringEngine:
                     widx = int(tied[0])
                     path = DecisionPath.MAX_MATCHED
                 else:
-                    widx, win_avg = self._break_tie(tied, sims, band)
+                    # highest average; on an exact tie the earliest-created
+                    # cluster (lowest id, the first maximum) keeps the point
+                    avgs = [_qualifying_avg(sims, band, i) for i in tied.tolist()]
+                    win_avg = max(avgs)
+                    widx = int(tied[avgs.index(win_avg)])
                     path = DecisionPath.AVG_TIEBREAK
             if widx >= 0:
                 total = self._sums[widx] + f
@@ -180,7 +218,7 @@ class ClusteringEngine:
         self._join(widx, total, dp.seq)
         # a winner qualified, so it matched at least one feature
         if win_avg is None:
-            win_avg = self._qualifying_avg(sims[:, widx], band[:, widx])
+            win_avg = _qualifying_avg(sims, band, widx)
         return AssignmentOutcome(
             point_seq=dp.seq,
             assigned_cluster_id=widx + 1,
@@ -203,14 +241,9 @@ class ClusteringEngine:
             sims, band, matched = self._score(
                 np.asarray(dp.features, dtype=np.float64), dp.features
             )
-        # _qualifying_avg's arithmetic for every cluster at once: a
-        # left-to-right running sum over the features, where adding 0.0 for an
-        # out-of-band feature is exact. A plain sum may add pairwise.
-        folded = np.where(band, np.where(sims <= 100.0, sims, 200.0 - sims), 0.0)
-        totals = np.add.accumulate(folded, axis=0)[-1].tolist()
         return tuple(
-            MatchProfile(i, int(c), t / c if c else None)
-            for i, (c, t) in enumerate(zip(matched.tolist(), totals), start=1)
+            MatchProfile(i + 1, c, _qualifying_avg(sims, band, i) if c else None)
+            for i, c in enumerate(matched.tolist())
         )
 
     # -- internals ---------------------------------------------------------
@@ -271,30 +304,6 @@ class ClusteringEngine:
         self._cents[:, i] = total / self._counts[i]
         self._members[i].append(seq)
         self._points_seen += 1
-
-    def _qualifying_avg(self, sim_row: np.ndarray, band_row: np.ndarray) -> float:
-        # Plain sequential sum in feature order: identical arithmetic to a
-        # scalar loop over the features.
-        total = 0.0
-        vals = sim_row[band_row].tolist()
-        for v in vals:
-            total += v if v <= 100.0 else 200.0 - v
-        return total / len(vals)
-
-    def _break_tie(
-        self, tied: np.ndarray, sims: np.ndarray, band: np.ndarray
-    ) -> tuple[int, float]:
-        # Highest average of scaled qualifying similarities; on an exact tie
-        # the earliest-created cluster (lowest id) keeps the point. Returns
-        # the winner and its average, which its profile reports.
-        best_avg = -1.0
-        best = int(tied[0])
-        for i in tied.tolist():
-            avg = self._qualifying_avg(sims[:, i], band[:, i])
-            if avg > best_avg:
-                best_avg = avg
-                best = i
-        return best, best_avg
 
 
 def run_stream(

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import random
 import shutil
 import struct
@@ -143,6 +144,26 @@ class TestRun:
         out, _ = capsys.readouterr()
         assert [r["label"] for r in records_of(out)] == ["first", None]
 
+    def test_a_label_with_a_newline_cannot_forge_trace_lines(self, tmp_path, capsys):
+        forged = "a\n[trace]   -> joins C9 (forged)"
+        data = tmp_path / "points.jsonl"
+        data.write_text(
+            json.dumps({"features": [1, 2], "id": forged}) + "\n"
+            + json.dumps({"features": [1, 2], "id": "plain id"}) + "\n"
+        )
+        code = main(
+            ["run", "--strictness", "60", "--format", "jsonl", "--input", str(data), "--trace"]
+        )
+        out, err = capsys.readouterr()
+        assert code == 0
+        lines = err.splitlines()
+        # point 0 founds C1 (header, decision); point 1 joins it (header, row, decision)
+        assert sum(line.startswith("[trace]") for line in lines) == len(lines) == 5
+        assert sum(line.startswith("[trace]   -> ") for line in lines) == 2
+        assert lines[0].startswith(f"[trace] point 0 ({json.dumps(forged)}): ")
+        assert lines[2].startswith("[trace] point 1 (plain id): ")
+        assert [r["label"] for r in records_of(out)] == [forged, "plain id"]
+
     def test_on_error_skip_reports_and_exits_zero(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_text("1,2\n1,zap\n3,4\n")
@@ -271,6 +292,14 @@ class TestRun:
         _, err = capsys.readouterr()
         assert code == 1
         assert "error" in err
+
+    def test_a_device_as_both_input_and_output_is_not_refused(self, capsys):
+        # only a regular file is truncated by opening it; a device is not
+        code = main(
+            ["run", "--strictness", "60", "--input", os.devnull, "--output", os.devnull]
+        )
+        assert code == 0
+        assert capsys.readouterr() == ("", "")
 
     def test_unwritable_output(self, golden_csv, tmp_path, capsys):
         code = main(
@@ -564,12 +593,16 @@ class TestSubprocess:
 
     @staticmethod
     def run_child(args, stdin, redirect=""):
+        # stderr buffered, as in a plain shell: PYTHONUNBUFFERED would hide a
+        # failed write that Python retries when it flushes at exit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         return subprocess.run(
             ["sh", "-c", f'exec "$0" -m strictcluster run --strictness 60 "$@" {redirect}',
              sys.executable, *args],
             input=stdin,
             capture_output=True,
             timeout=60,
+            env=env,
         )
 
     # 2>&- starts Python with sys.stderr None; 2</dev/null leaves a stderr
@@ -610,6 +643,23 @@ class TestSubprocess:
         assert (closed.returncode, closed.stderr) == (1, b"")
         assert len(records_of(closed.stdout.decode())) == 2
         assert closed.stdout == opened.stdout
+
+    @pytest.mark.parametrize("route", ["file", "stdin"])
+    def test_output_naming_the_input_is_refused_and_the_input_kept(self, route, tmp_path):
+        data = tmp_path / "pts.csv"
+        data.write_bytes(b"1,2\n1.1,2\n5,9\n")
+        args = ["--output", str(data)]
+        if route == "file":
+            proc = self.run_child(["--input", str(data), *args], None)
+        else:
+            proc = self.run_child(args, None, f'< "{data}"')
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"strictcluster: error: --output {data} is the input file; "
+            "it would be truncated\n"
+        ).encode()
+        assert proc.stdout == b""
+        assert data.read_bytes() == b"1,2\n1.1,2\n5,9\n"
 
     def test_console_script_if_installed(self, golden_csv):
         exe = shutil.which("strictcluster")

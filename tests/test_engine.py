@@ -399,8 +399,8 @@ class TestProfileRecording:
         ],
     )
     def test_profiles_equal_the_scalar_match_profile(self, strictness, n, make):
-        # all profiles of one point come from one vectorised pass; each must
-        # be the scalar reference's, qualifying_avg bit for bit
+        # every cluster's profile of one point must be the scalar
+        # reference's, qualifying_avg bit for bit
         eng = ClusteringEngine(Config(strictness, n))
         lo, hi = strictness, 200.0 - strictness
         tiebreaks = pairwise_differs = 0
