@@ -23,7 +23,14 @@ import numpy as np
 from .engine import ClusteringEngine, feature_similarity, qualifying_range
 from .errors import ClusteringError
 from .ingestion import PointStream, SkippedLine
-from .model import AssignmentOutcome, Config, DataPoint, DecisionPath, MatchProfile
+from .model import (
+    AssignmentOutcome,
+    ClusterState,
+    Config,
+    DataPoint,
+    DecisionPath,
+    MatchProfile,
+)
 from .persistence import load_snapshot, save_snapshot
 
 PROG = "strictcluster"
@@ -143,25 +150,22 @@ def _assignment_record(dp: DataPoint, outcome: AssignmentOutcome) -> str:
     )
 
 
-def _summary_record(engine: ClusteringEngine | None) -> str:
-    if engine is None:
-        doc = {
-            "kind": "summary",
-            "points_seen": 0,
-            "clusters": 0,
-            "sizes": [],
-            "centroids": [],
-        }
+def _write_summary(out: IO[str], state: ClusterState | None) -> None:
+    """Write the summary record, the text json.dumps(..., separators=(",", ":"))
+    gives, one centroid at a time; None is the state of an empty input."""
+    if state is None:
+        points_seen, clusters = 0, ()
     else:
-        state = engine.state()
-        doc = {
-            "kind": "summary",
-            "points_seen": state.points_seen,
-            "clusters": len(state.clusters),
-            "sizes": [c.member_count for c in state.clusters],
-            "centroids": [list(c.centroid()) for c in state.clusters],
-        }
-    return json.dumps(doc, separators=(",", ":"))
+        points_seen, clusters = state.points_seen, state.clusters
+    out.write(
+        f'{{"kind":"summary","points_seen":{points_seen},'
+        f'"clusters":{len(clusters)},'
+        f'"sizes":[{",".join(str(c.member_count) for c in clusters)}],'
+        '"centroids":['
+    )
+    for i, c in enumerate(clusters):
+        out.write(("," if i else "") + json.dumps(c.centroid(), separators=(",", ":")))
+    out.write("]}\n")
 
 
 def _sim_rows(engine: ClusteringEngine, dp: DataPoint) -> np.ndarray:
@@ -262,8 +266,35 @@ def _cluster_stream(
     return engine
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: the same path, or one existing file."""
+    if os.path.abspath(a) == os.path.abspath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either does not exist yet
+        return False
+
+
+def _check_output_is_no_snapshot(args: argparse.Namespace) -> None:
+    """Refuse an --output that names the snapshot read or written: the
+    records would overwrite the one, or the other would replace them."""
+    if args.output == "-":
+        return
+    for flag, path in (
+        ("--snapshot-in", getattr(args, "snapshot_in", None)),
+        ("--snapshot-out", args.snapshot_out),
+    ):
+        if path is not None and _same_file(args.output, path):
+            raise OSError(
+                f"--output {args.output} is the {flag} file; "
+                "records and a snapshot cannot share a file"
+            )
+
+
 def cmd_cluster(args: argparse.Namespace) -> int:
     """``run`` and ``resume``: they differ only in how the engine starts."""
+    _check_output_is_no_snapshot(args)
     engine: ClusteringEngine | None = None
     if args.command == "resume":
         engine = ClusteringEngine.from_state(load_snapshot(args.snapshot_in))
@@ -273,16 +304,19 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         Config(args.strictness, 1)
     with _open_input(args.input) as source, _open_output(args.output, source) as out:
         engine = _cluster_stream(args, engine, source, out)
+        state = None  # taken once, for both the summary and the snapshot
+        if engine is not None and (args.summary or args.snapshot_out):
+            state = engine.state()
         if args.summary:
-            out.write(_summary_record(engine) + "\n")
+            _write_summary(out, state)
     if args.snapshot_out:
-        if engine is None:
+        if state is None:
             _note(
                 f"{PROG}: no snapshot written: empty input leaves the "
                 "feature width unknown\n"
             )
         else:
-            save_snapshot(engine.state(), args.snapshot_out)
+            save_snapshot(state, args.snapshot_out)
     return 0
 
 

@@ -29,7 +29,6 @@ rejected before any state changes.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,10 +71,12 @@ def qualifying_range(strictness: float) -> tuple[float, float]:
 def should_match_features(config: Config) -> int:
     """Minimum number of qualifying features a cluster needs: ceil(n * s / 100).
 
-    Computed in exact rational arithmetic so a strictness like 0.07 cannot
-    push a float product such as 7.000000000000001 past the next integer.
+    Computed exactly in integers, from the float's own ratio p / q, so a
+    strictness like 0.07 cannot push a float product such as
+    7.000000000000001 past the next integer.
     """
-    return math.ceil(Fraction(config.strictness) * config.n_features / 100)
+    p, q = config.strictness.as_integer_ratio()
+    return -((-p * config.n_features) // (100 * q))
 
 
 def _qualifying_avg(sims: np.ndarray, band: np.ndarray, i: int) -> float:

@@ -11,6 +11,15 @@ shortest round-trip representation, so feature sums (and therefore derived
 centroids) survive a save/load cycle with identical bits. Running sums,
 not centroids, are persisted: centroids are always derived, so a resumed
 run can never drift from an uninterrupted one.
+
+Neither direction builds the whole file as text more than once. A save
+writes the payload one cluster at a time through an incremental SHA-256, so
+it holds one cluster's text beyond the state; the header goes in last, over
+a placeholder of the same width at the start of the file (the digest is
+always 64 hex digits). A load reads the file's bytes once and hashes and
+decodes the payload through a memoryview of them, and frees the payload
+text once it is parsed. Lines end at LF, CRLF or CR on load, as in a
+universal-newline text read.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 from .errors import (
     ChecksumMismatch,
@@ -34,42 +44,68 @@ SNAPSHOT_FORMAT = "strictcluster-snapshot"
 SNAPSHOT_VERSION = 1
 
 
-def _payload(state: ClusterState) -> str:
-    doc = {
-        "config": {
-            "strictness": state.config.strictness,
-            "n_features": state.config.n_features,
-        },
-        "points_seen": state.points_seen,
-        "clusters": [
-            {
-                "id": c.id,
-                "member_count": c.member_count,
-                "feature_sums": list(c.feature_sums),
-                "member_seqs": list(c.member_seqs),
-            }
-            for c in state.clusters
-        ],
-    }
-    return json.dumps(doc, separators=(",", ":"))
+_SEPARATORS = (",", ":")
 
 
-def save_snapshot(state: ClusterState, destination: str | os.PathLike) -> None:
-    """Write the state atomically: a temp file in place, then os.replace."""
-    dest = Path(destination)
-    payload = _payload(state)
-    header = json.dumps(
+def _header(digest: str) -> bytes:
+    """The header line, without its newline; as wide for any 64-hex digest."""
+    return json.dumps(
         {
             "format": SNAPSHOT_FORMAT,
             "format_version": SNAPSHOT_VERSION,
-            "payload_sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+            "payload_sha256": digest,
         },
-        separators=(",", ":"),
+        separators=_SEPARATORS,
+    ).encode("ascii")
+
+
+def _payload_chunks(state: ClusterState) -> Iterator[bytes]:
+    """The payload line's bytes, one cluster at a time: together exactly
+    json.dumps(doc, separators=(",", ":")) of the whole payload document."""
+    frame = json.dumps(
+        {
+            "config": {
+                "strictness": state.config.strictness,
+                "n_features": state.config.n_features,
+            },
+            "points_seen": state.points_seen,
+            "clusters": [],
+        },
+        separators=_SEPARATORS,
     )
+    yield frame[:-2].encode("ascii")  # up to the clusters' "["
+    for i, c in enumerate(state.clusters):
+        text = json.dumps(
+            {
+                "id": c.id,
+                "member_count": c.member_count,
+                "feature_sums": c.feature_sums,
+                "member_seqs": c.member_seqs,
+            },
+            separators=_SEPARATORS,
+        )
+        yield (("," if i else "") + text).encode("ascii")
+    yield b"]}"
+
+
+def save_snapshot(state: ClusterState, destination: str | os.PathLike) -> None:
+    """Write the state atomically: a temp file in place, then os.replace.
+
+    The payload is hashed as it is written, and the header, whose digest
+    field is always 64 hex digits wide, goes last into the space left for it.
+    """
+    dest = Path(destination)
     fd, tmp_name = tempfile.mkstemp(dir=dest.parent, prefix=dest.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n" + payload + "\n")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_header("0" * 64) + b"\n")
+            digest = hashlib.sha256()
+            for chunk in _payload_chunks(state):
+                digest.update(chunk)
+                fh.write(chunk)
+            fh.write(b"\n")
+            fh.seek(0)
+            fh.write(_header(digest.hexdigest()))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_name, dest)
@@ -81,15 +117,34 @@ def save_snapshot(state: ClusterState, destination: str | os.PathLike) -> None:
         raise
 
 
-def load_snapshot(source: str | os.PathLike) -> ClusterState:
-    """Read a snapshot back; the result passes every ClusterState invariant."""
+def _read_lines(source: str | os.PathLike) -> tuple[str, str, str]:
+    """The header text, the payload text and the payload's SHA-256, from one
+    read of the file's bytes.
+
+    Line endings are universal newlines, as in a text-mode read: a CRLF or
+    CR ends a line as LF does. The whole file must be UTF-8, which is
+    checked before the payload line is looked for.
+    """
+    data = Path(source).read_bytes()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    view = memoryview(data)
+    cut = data.find(b"\n")
+    header = view[:cut] if cut >= 0 else view
+    end = len(data) - 1 if data.endswith(b"\n") else len(data)
+    payload = view[cut + 1 : end]  # the payload line without its newline
     try:
-        text = Path(source).read_text(encoding="utf-8")
+        header_text, payload_text = str(header, "utf-8"), str(payload, "utf-8")
     except UnicodeDecodeError:
         raise SnapshotFormatError("snapshot is not UTF-8 text") from None
-    header_line, sep, rest = text.partition("\n")
-    if not sep:
+    if cut < 0:
         raise SnapshotFormatError("snapshot is missing its payload line")
+    return header_text, payload_text, hashlib.sha256(payload).hexdigest()
+
+
+def load_snapshot(source: str | os.PathLike) -> ClusterState:
+    """Read a snapshot back; the result passes every ClusterState invariant."""
+    header_line, payload_text, digest = _read_lines(source)
     try:
         header = json.loads(header_line)
     except json.JSONDecodeError as err:
@@ -104,9 +159,6 @@ def load_snapshot(source: str | os.PathLike) -> ClusterState:
     expected = header.get("payload_sha256")
     if not isinstance(expected, str):
         raise SnapshotFormatError("snapshot header is missing payload_sha256")
-
-    payload_text = rest[:-1] if rest.endswith("\n") else rest
-    digest = hashlib.sha256(payload_text.encode("utf-8")).hexdigest()
     if digest != expected:
         raise ChecksumMismatch(
             "snapshot payload does not match its checksum (file truncated or altered)"
@@ -114,6 +166,7 @@ def load_snapshot(source: str | os.PathLike) -> ClusterState:
 
     try:
         doc = json.loads(payload_text)
+        del payload_text  # free the text before the clusters are built
         config = Config(doc["config"]["strictness"], doc["config"]["n_features"])
         clusters = tuple(map(_cluster, doc["clusters"]))
         points_seen = doc["points_seen"]

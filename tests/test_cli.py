@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from strictcluster import (
     AssignmentOutcome,
+    Cluster,
     ClusteringEngine,
+    ClusterState,
     Config,
     DataPoint,
     DecisionPath,
@@ -24,10 +26,10 @@ from strictcluster import (
     feature_similarity,
     save_snapshot,
 )
-from strictcluster.cli import _assignment_record, _fmt2, _fmt2_array, main
+from strictcluster.cli import _assignment_record, _fmt2, _fmt2_array, _write_summary, main
 
 from generators import anchored_points
-from golden import GOLDEN_CSV
+from golden import GOLDEN_CSV, GOLDEN_N_FEATURES, GOLDEN_POINTS, GOLDEN_STRICTNESS
 from reference import naive_profile
 
 EXPECTED_CIDS = [1, 2, 1, 3, 3, 2]
@@ -394,6 +396,73 @@ class TestSnapshotCommands:
         assert code == 1
         assert "checksum" in err
 
+    @pytest.mark.parametrize("spelling", ["same-path", "dot-path", "hard-link"])
+    def test_output_naming_the_snapshot_in_is_refused_and_the_snapshot_kept(
+        self, golden_csv, tmp_path, capsys, spelling
+    ):
+        snap = self.run_with_snapshot(golden_csv, tmp_path)
+        before = snap.read_bytes()
+        output = {
+            "same-path": str(snap),
+            "dot-path": str(tmp_path / "." / snap.name),
+            "hard-link": str(tmp_path / "link.snap"),
+        }[spelling]
+        if spelling == "hard-link":
+            os.link(snap, output)
+        capsys.readouterr()
+        # the input does not exist: the refusal comes before it is opened
+        code = main(["resume", "--snapshot-in", str(snap),
+                     "--input", str(tmp_path / "absent.csv"), "--output", output])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"strictcluster: error: --output {output} is the --snapshot-in file; "
+            "records and a snapshot cannot share a file\n"
+        )
+        assert snap.read_bytes() == before
+        assert main(["inspect", "--snapshot-in", str(snap)]) == 0
+        assert C2_ROW in capsys.readouterr().out
+
+    def test_output_naming_the_snapshot_out_is_refused_and_the_snapshot_kept(
+        self, golden_csv, tmp_path, capsys
+    ):
+        snap = self.run_with_snapshot(golden_csv, tmp_path)
+        before = snap.read_bytes()
+        capsys.readouterr()
+        code = main(["run", "--strictness", "60", "--input", str(golden_csv),
+                     "--output", str(snap), "--snapshot-out", str(snap)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"strictcluster: error: --output {snap} is the --snapshot-out file; "
+            "records and a snapshot cannot share a file\n"
+        )
+        assert snap.read_bytes() == before
+        assert main(["inspect", "--snapshot-in", str(snap)]) == 0
+        assert C2_ROW in capsys.readouterr().out
+        # refused by path too, before the file exists
+        fresh = tmp_path / "fresh.x"
+        code = main(["run", "--strictness", "60", "--input", str(golden_csv),
+                     "--output", str(fresh), "--snapshot-out", str(fresh)])
+        assert code == 1
+        assert not fresh.exists()
+
+    def test_resuming_in_place_stays_legal(self, golden_csv, tmp_path, capsys):
+        lines = GOLDEN_CSV.splitlines(keepends=True)
+        head, tail = tmp_path / "head.csv", tmp_path / "tail.csv"
+        head.write_text("".join(lines[:4]))
+        tail.write_text("".join(lines[4:]))
+        snap, full = tmp_path / "state.snap", tmp_path / "full.snap"
+        main(["run", "--strictness", "60", "--input", str(golden_csv),
+              "--snapshot-out", str(full)])
+        main(["run", "--strictness", "60", "--input", str(head), "--snapshot-out", str(snap)])
+        code = main(["resume", "--snapshot-in", str(snap), "--input", str(tail),
+                     "--output", str(tmp_path / "out.jsonl"), "--snapshot-out", str(snap)])
+        assert code == 0
+        assert snap.read_bytes() == full.read_bytes()
+
     def test_inspect_missing_snapshot(self, tmp_path, capsys):
         code = main(["inspect", "--snapshot-in", str(tmp_path / "absent.snap")])
         _, err = capsys.readouterr()
@@ -458,6 +527,39 @@ class TestRendering:
         }
         got = _assignment_record(DataPoint(seq, (1.0,), label), outcome)
         assert got == json.dumps(rec, separators=(",", ":"))
+
+    @pytest.mark.parametrize("case", ["golden", "awkward-floats", "empty-input"])
+    def test_summary_record_is_the_one_shot_dump(self, case):
+        if case == "golden":
+            eng = ClusteringEngine(Config(GOLDEN_STRICTNESS, GOLDEN_N_FEATURES))
+            for p in GOLDEN_POINTS:
+                eng.assign(p)
+            state = eng.state()
+        elif case == "awkward-floats":
+            state = ClusterState(
+                Config(60.0, 3),
+                (
+                    Cluster(1, 3, (5e-324, 1e306, 0.0), (0, 1, 2)),
+                    Cluster(2, 1, (0.1, 1.0 / 3.0, 7.0), (3,)),
+                ),
+                4,
+            )
+        else:
+            state = None  # no point arrived, so there is no engine
+        if state is None:
+            doc = {"kind": "summary", "points_seen": 0, "clusters": 0,
+                   "sizes": [], "centroids": []}
+        else:
+            doc = {
+                "kind": "summary",
+                "points_seen": state.points_seen,
+                "clusters": len(state.clusters),
+                "sizes": [c.member_count for c in state.clusters],
+                "centroids": [list(c.centroid()) for c in state.clusters],
+            }
+        out = io.StringIO()
+        _write_summary(out, state)
+        assert out.getvalue() == json.dumps(doc, separators=(",", ":")) + "\n"
 
     def test_trace_matches_a_table_rendered_from_the_scalar_route(self, tmp_path, capsys):
         # zero-heavy stream: undefined cells (c = 0 < d) and 0/0 cells (= 100)

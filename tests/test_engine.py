@@ -1,7 +1,13 @@
 """Engine behavior: the six-point example, dispatch branches, exactness."""
 
+import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +85,36 @@ class TestShouldMatch:
     @given(st.integers(1, 100), st.integers(1, 1000))
     def test_agrees_with_plain_float_ceil_on_integer_strictness(self, s, n):
         assert should_match_features(Config(float(s), n)) == naive_should_match(float(s), n)
+
+    @pytest.mark.parametrize(
+        "strictness", [0.07, 5e-324, 33.333333333333336, 99.99999999999999, 100.0, 0.1, 60.0]
+    )
+    def test_equals_the_exact_rational_ceil(self, strictness):
+        for n in (1, 2, 3, 7, 99, 100, 101, 1000, 12_345, 999_999, 10**6):
+            want = math.ceil(Fraction(strictness) * n / 100)
+            assert should_match_features(Config(strictness, n)) == want, n
+
+    @given(
+        st.floats(min_value=0.0, max_value=100.0, exclude_min=True),
+        st.integers(1, 10**6),
+    )
+    def test_equals_the_exact_rational_ceil_on_any_strictness(self, s, n):
+        assert should_match_features(Config(s, n)) == math.ceil(Fraction(s) * n / 100)
+
+    def test_starting_the_cli_imports_neither_fractions_nor_decimal(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys; import strictcluster.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 class TestGoldenTrace:

@@ -1,6 +1,7 @@
 """Snapshot save/load: exact round trips and corruption handling."""
 
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -71,6 +72,72 @@ def test_round_trip_is_bit_exact_on_awkward_floats(tmp_path):
     assert repr(loaded.clusters[0].feature_sums) == repr(state.clusters[0].feature_sums)
 
 
+def one_shot_snapshot(state):
+    """The file as a single json.dumps of the whole payload document gives it."""
+    doc = {
+        "config": {
+            "strictness": state.config.strictness,
+            "n_features": state.config.n_features,
+        },
+        "points_seen": state.points_seen,
+        "clusters": [
+            {
+                "id": c.id,
+                "member_count": c.member_count,
+                "feature_sums": list(c.feature_sums),
+                "member_seqs": list(c.member_seqs),
+            }
+            for c in state.clusters
+        ],
+    }
+    payload = json.dumps(doc, separators=(",", ":"))
+    header = json.dumps(
+        {
+            "format": SNAPSHOT_FORMAT,
+            "format_version": SNAPSHOT_VERSION,
+            "payload_sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+        },
+        separators=(",", ":"),
+    )
+    return (header + "\n" + payload + "\n").encode("utf-8")
+
+
+AWKWARD_STATE = ClusterState(
+    config=Config(100.0 / 3.0, 3),
+    clusters=(
+        Cluster(id=1, member_count=1, feature_sums=(5e-324, 1e306, 0.0), member_seqs=(1,)),
+        Cluster(id=2, member_count=1, feature_sums=(0.0, 0.1, 1.0 / 3.0), member_seqs=(0,)),
+    ),
+    points_seen=2,
+)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        pytest.param(None, id="golden"),
+        pytest.param(AWKWARD_STATE, id="awkward-floats"),
+        pytest.param(ClusterState(Config(60.0, 4), (), 0), id="zero-clusters"),
+    ],
+)
+def test_saved_bytes_are_the_one_shot_dump(golden_state, tmp_path, state):
+    state = golden_state if state is None else state
+    path = tmp_path / "state.snap"
+    save_snapshot(state, path)
+    assert path.read_bytes() == one_shot_snapshot(state)
+    assert load_snapshot(path) == state
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_converted_line_endings_load(golden_state, tmp_path, newline):
+    # a text tool that rewrote the line endings leaves a loadable snapshot,
+    # as a universal-newline read of the file has always made it
+    path = tmp_path / "state.snap"
+    save_snapshot(golden_state, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", newline))
+    assert load_snapshot(path) == golden_state
+
+
 def test_random_states_round_trip_bitwise(tmp_path):
     rng = random.Random(11)
     path = tmp_path / "state.snap"
@@ -78,6 +145,7 @@ def test_random_states_round_trip_bitwise(tmp_path):
         strictness, n, points = random_case(rng, rng.randint(1, 50))
         state, _ = run_stream(Config(strictness, n), points)
         save_snapshot(state, path)
+        assert path.read_bytes() == one_shot_snapshot(state)
         loaded = load_snapshot(path)
         assert loaded == state
         for a, b in zip(loaded.clusters, state.clusters):
