@@ -81,20 +81,19 @@ def _fmt2_array(values: np.ndarray) -> list[str]:
 
 
 @contextlib.contextmanager
-def _open_input(path: str) -> Iterator[IO[str] | IO[bytes]]:
+def _open_input(path: str) -> Iterator[IO[bytes]]:
     """The input's bytes, which PointStream decodes as UTF-8 line by line."""
     if path == "-":
         if sys.stdin is None:  # what Python leaves when fd 0 is closed
             raise OSError("stdin is closed")
-        # a stdin replaced by a text stream has no buffer
-        yield getattr(sys.stdin, "buffer", sys.stdin)
+        yield sys.stdin.buffer
     else:
         with open(path, "rb") as fh:
             yield fh
 
 
 @contextlib.contextmanager
-def _open_output(path: str, source: IO[str] | IO[bytes]) -> Iterator[IO[str]]:
+def _open_output(path: str, source: IO[bytes]) -> Iterator[IO[str]]:
     """The records' stream. A path naming the regular file that ``source``
     reads is refused, since opening it would truncate the unread input.
     """
@@ -203,7 +202,7 @@ def _print_trace(
     cfg = engine.config
     n = cfg.n_features
     lo, hi = qualifying_range(cfg.strictness)
-    tag = f"point {dp.seq}"
+    tag = f"point {outcome.point_seq}"
     if dp.label:
         # a newline or other control character in a label could forge lines
         label = dp.label if dp.label.isprintable() else json.dumps(dp.label)
@@ -231,7 +230,7 @@ def _print_trace(
 def _cluster_stream(
     args: argparse.Namespace,
     engine: ClusteringEngine | None,
-    source: IO[str] | IO[bytes],
+    source: IO[bytes],
     out: IO[str],
 ) -> ClusteringEngine | None:
     """Feed every valid point of ``source`` to the engine, one record each."""
@@ -242,7 +241,6 @@ def _cluster_stream(
         strictness=None if engine is not None else args.strictness,
         on_error=args.on_error,
         on_skip=_report_skip,
-        start_seq=engine.points_seen if engine is not None else 0,
     )
     traced = 0
     for dp in stream:
@@ -266,21 +264,29 @@ def _cluster_stream(
     return engine
 
 
-def _same_file(a: str, b: str) -> bool:
-    """Whether two paths name one file: the same path, or one existing file."""
-    if os.path.abspath(a) == os.path.abspath(b):
+def _same_file(output: str, path: str) -> bool:
+    """Whether --output names the file at ``path``: the same path, or one
+    existing file. An --output of - is the regular file that stdout writes,
+    if it writes one, as after a shell's ``> path``.
+    """
+    if output != "-" and os.path.abspath(output) == os.path.abspath(path):
         return True
     try:
-        return os.path.samefile(a, b)
-    except OSError:  # either does not exist yet
+        if output == "-":
+            out_st = os.fstat(sys.stdout.fileno())
+            if not stat.S_ISREG(out_st.st_mode):
+                return False
+        else:
+            out_st = os.stat(output)
+        return os.path.samestat(out_st, os.stat(path))
+    # no stdout, no descriptor behind it, or no such file yet
+    except (AttributeError, OSError, ValueError):
         return False
 
 
 def _check_output_is_no_snapshot(args: argparse.Namespace) -> None:
     """Refuse an --output that names the snapshot read or written: the
     records would overwrite the one, or the other would replace them."""
-    if args.output == "-":
-        return
     for flag, path in (
         ("--snapshot-in", getattr(args, "snapshot_in", None)),
         ("--snapshot-out", args.snapshot_out),

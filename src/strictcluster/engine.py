@@ -167,11 +167,13 @@ class ClusteringEngine:
     def assign(self, point: DataPoint | Sequence[float]) -> AssignmentOutcome:
         """Place one point and update the receiving cluster.
 
-        Accepts a validated DataPoint whose seq continues the stream, or a
-        bare feature sequence which is validated and stamped with the next
-        seq. The outcome reports the winner's profile only; :meth:`profiles`
-        scores the point against every cluster.
+        Accepts a validated DataPoint, or a bare feature sequence which is
+        validated first. The outcome's ``point_seq`` is the point's 0-based
+        position in the stream, which the engine alone numbers. The outcome
+        reports the winner's profile only; :meth:`profiles` scores the point
+        against every cluster.
         """
+        seq = self._points_seen
         dp = self._coerce(point)
         f = np.asarray(dp.features, dtype=np.float64)
 
@@ -205,23 +207,23 @@ class ClusteringEngine:
 
         if widx < 0:
             return AssignmentOutcome(
-                point_seq=dp.seq,
-                assigned_cluster_id=self._create(f, dp.seq),
+                point_seq=seq,
+                assigned_cluster_id=self._create(f, seq),
                 created_new=True,
                 decision_path=path,
             )
         # sums and features are finite and >= 0, so an overflow is +inf
         if math.inf in total.tolist():
             raise FeatureSumOverflow(
-                f"point seq {dp.seq} would overflow a feature sum of "
+                f"point seq {seq} would overflow a feature sum of "
                 f"cluster {widx + 1} past the largest float"
             )
-        self._join(widx, total, dp.seq)
+        self._join(widx, total, seq)
         # a winner qualified, so it matched at least one feature
         if win_avg is None:
             win_avg = _qualifying_avg(sims, band, widx)
         return AssignmentOutcome(
-            point_seq=dp.seq,
+            point_seq=seq,
             assigned_cluster_id=widx + 1,
             created_new=False,
             decision_path=path,
@@ -280,16 +282,11 @@ class ClusteringEngine:
         if isinstance(point, DataPoint):
             if len(point.features) != self._n:
                 raise DimensionMismatch(
-                    f"point seq {point.seq} has {len(point.features)} features, "
-                    f"config expects {self._n}"
-                )
-            if point.seq != self._points_seen:
-                raise InvariantViolation(
-                    f"point seq {point.seq} does not continue the stream "
-                    f"(expected {self._points_seen})"
+                    f"point seq {self._points_seen} has {len(point.features)} "
+                    f"features, config expects {self._n}"
                 )
             return point
-        return validate_point(point, self.config, seq=self._points_seen)
+        return validate_point(point, self.config)
 
     def _create(self, f: np.ndarray, seq: int) -> int:
         self._sums = np.vstack((self._sums, f))

@@ -7,13 +7,12 @@ JSONL: one object per line with a required "features" array of numbers
 (an integer too large for a float is a parse error) and an optional "id"
 string kept as the point's label.
 
-Byte input is UTF-8, decoded here one line at a time; a line that is not
-valid UTF-8 is a bad line. A text source's lines are taken as already
-decoded. A line ends at ``\n`` only; any ``\r`` just before its end is
-dropped, and a ``\r`` anywhere else is part of the line. One byte-order
-mark (U+FEFF) at the start of the first line is dropped. Blank lines are
-ignored everywhere. Points receive consecutive seq numbers in input order;
-skipped lines do not consume a seq.
+Input is bytes, read as UTF-8 and decoded here one line at a time; a line
+that is not valid UTF-8 is a bad line. A line ends at ``\n`` only; any
+``\r`` just before its end is dropped, and a ``\r`` anywhere else is part
+of the line. One byte-order mark (U+FEFF) at the start of the first line is
+dropped. Blank lines are ignored everywhere. Points come out in input
+order; the engine, not this module, numbers them.
 """
 
 from __future__ import annotations
@@ -115,14 +114,11 @@ def _decode(raw: bytes) -> str:
 
 
 class PointStream:
-    """Iterable over the valid DataPoints of a text or byte source.
+    """Iterable over the valid DataPoints of a byte source.
 
-    A byte source is read as UTF-8, one line at a time: a line ends at
-    ``\n`` only, and a line that is not valid UTF-8 is a bad line. A text
-    source's lines are taken as already decoded, as that source splits
-    them (``io.StringIO`` at ``\n`` only), and are not checked: a lone
-    surrogate in them is not flagged as a bad line. Either way any ``\r``
-    at the end of a line is dropped.
+    The source is read as UTF-8, one line at a time: a line ends at ``\n``
+    only, a line that is not valid UTF-8 is a bad line, and any ``\r`` at
+    the end of a line is dropped.
 
     When ``config`` is None, the feature width is inferred from the first
     valid record and combined with ``strictness`` into a Config, available
@@ -135,14 +131,13 @@ class PointStream:
 
     def __init__(
         self,
-        source: IO[str] | IO[bytes],
+        source: IO[bytes],
         fmt: str = "csv",
         config: Config | None = None,
         *,
         strictness: float | None = None,
         on_error: str = "halt",
         on_skip: Callable[[SkippedLine], None] | None = None,
-        start_seq: int = 0,
     ):
         if fmt not in ("csv", "jsonl"):
             raise ValueError(f"unknown format {fmt!r}")
@@ -156,14 +151,13 @@ class PointStream:
         self._strictness = strictness
         self._on_error = on_error
         self._on_skip = on_skip
-        self._next_seq = start_seq
         self.line_number: int | None = None
 
     def __iter__(self) -> Iterator[DataPoint]:
         saw_content = False
         for line_number, line in enumerate(self._source, start=1):
             try:
-                text = _decode(line) if isinstance(line, bytes) else line
+                text = _decode(line)
                 if line_number == 1:
                     text = text.removeprefix("\ufeff")
                 text = text.rstrip("\r\n")
@@ -179,9 +173,7 @@ class PointStream:
                 if self.config is None:
                     # first valid record fixes the dimensionality for the whole run
                     self.config = Config(self._strictness, len(values))
-                point = validate_point(
-                    values, self.config, seq=self._next_seq, label=label
-                )
+                point = validate_point(values, self.config, label=label)
             except ClusteringError as err:
                 saw_content = True  # a line that will not decode is not blank
                 err.line_number = line_number
@@ -190,7 +182,6 @@ class PointStream:
                 if self._on_skip is not None:
                     self._on_skip(SkippedLine(line_number, err))
                 continue
-            self._next_seq += 1
             self.line_number = line_number
             yield point
 

@@ -32,7 +32,8 @@ class Config:
         s = self.strictness
         if not isinstance(s, (int, float)) or isinstance(s, bool):
             raise StrictnessOutOfRange(f"strictness must be a real number, got {s!r}")
-        if not (0.0 < float(s) <= 100.0):  # NaN fails both comparisons
+        # before float(), which overflows on 10**400; NaN fails both comparisons
+        if not (0.0 < s <= 100.0):
             raise StrictnessOutOfRange(f"strictness must be in (0, 100], got {s!r}")
         n = self.n_features
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -42,9 +43,9 @@ class Config:
 
 @dataclass(frozen=True, slots=True)
 class DataPoint:
-    """One arrival in the stream: a 0-based sequence id and its features."""
+    """One arrival in the stream: its features and optional label. Its stream
+    position is numbered by the engine, as ``outcome.point_seq``."""
 
-    seq: int
     features: tuple[float, ...]
     label: str | None = None  # optional caller-supplied id, carried through outputs
 
@@ -52,7 +53,6 @@ class DataPoint:
 def validate_point(
     features: Sequence[float],
     config: Config,
-    seq: int = 0,
     label: str | None = None,
 ) -> DataPoint:
     """Check a feature vector against the config and wrap it as a DataPoint.
@@ -72,7 +72,7 @@ def validate_point(
                 raise NonFiniteFeature(f"feature {j + 1} is not finite: {v!r}")
             if v < 0.0:
                 raise NegativeFeature(f"feature {j + 1} is negative: {v!r}")
-    return DataPoint(seq=seq, features=vals, label=label)
+    return DataPoint(features=vals, label=label)
 
 
 @dataclass(frozen=True, slots=True)

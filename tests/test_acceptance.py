@@ -68,7 +68,7 @@ def test_criterion_2_similarity_tables(capsys):
         eng = ClusteringEngine(GOLDEN_CONFIG)
         computed = {}
         for seq, point in enumerate(GOLDEN_POINTS):
-            dp = validate_point(point, GOLDEN_CONFIG, seq=seq)
+            dp = validate_point(point, GOLDEN_CONFIG)
             for cid in range(1, eng.cluster_count + 1):
                 centroid = eng.cluster(cid).centroid()
                 computed[(seq, cid)] = [

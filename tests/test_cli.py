@@ -81,7 +81,7 @@ class TestRun:
         assert all(r["kind"] == "assignment" for r in records_of(out))
 
     def test_reads_stdin_by_default(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("1,2\n1.05,2.1\n"))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"1,2\n1.05,2.1\n")))
         code = main(["run", "--strictness", "60", "--summary"])
         out, _ = capsys.readouterr()
         assert code == 0
@@ -101,7 +101,7 @@ class TestRun:
 
     def test_identical_points_past_1e306_share_a_cluster(self, capsys, monkeypatch):
         # 100 * 1e307 overflows, so the similarity divides first: 100 * (1 / 1)
-        monkeypatch.setattr(sys, "stdin", io.StringIO("1e307,1\n1e307,1\n"))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"1e307,1\n1e307,1\n")))
         code = main(["run", "--strictness", "90", "--trace"])
         out, err = capsys.readouterr()
         assert code == 0
@@ -110,7 +110,7 @@ class TestRun:
         assert "joins C1 (only qualifying cluster)" in err
 
     def test_trace_prints_a_similarity_from_1e16_up_as_its_repr(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("1,1\n1e20,1\n"))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"1,1\n1e20,1\n")))
         code = main(["run", "--strictness", "60", "--trace"])
         _, err = capsys.readouterr()
         assert code == 0
@@ -226,7 +226,9 @@ class TestRun:
 
     def test_no_qualifying_cluster_takes_the_empty_list_path(self, capsys, monkeypatch):
         # EMPTY_LIST_NEW_CLUSTER whenever nothing qualifies, also with k > 0
-        monkeypatch.setattr(sys, "stdin", io.StringIO("10,10\n100,100\n10.5,10\n"))
+        monkeypatch.setattr(
+            sys, "stdin", io.TextIOWrapper(io.BytesIO(b"10,10\n100,100\n10.5,10\n"))
+        )
         code = main(["run", "--strictness", "60"])
         out, _ = capsys.readouterr()
         assert code == 0
@@ -525,7 +527,7 @@ class TestRendering:
             "decision_path": path.value,
             "label": label,
         }
-        got = _assignment_record(DataPoint(seq, (1.0,), label), outcome)
+        got = _assignment_record(DataPoint((1.0,), label), outcome)
         assert got == json.dumps(rec, separators=(",", ":"))
 
     @pytest.mark.parametrize("case", ["golden", "awkward-floats", "empty-input"])
@@ -641,7 +643,7 @@ def render_trace(points, config):
     lines, cells = [], {"undef": 0, "0/0": 0}
     band = f"[{_fmt2(config.strictness)}, {_fmt2(200.0 - config.strictness)}]"
     for seq, p in enumerate(points):
-        dp = DataPoint(seq, tuple(p))
+        dp = DataPoint(tuple(p))
         lines.append(
             f"[trace] point {seq}: band {band}, "
             f"needs {eng.should_match} of {config.n_features}"
@@ -762,6 +764,37 @@ class TestSubprocess:
         ).encode()
         assert proc.stdout == b""
         assert data.read_bytes() == b"1,2\n1.1,2\n5,9\n"
+
+    @pytest.mark.parametrize(
+        "command,redirect",
+        [("run --strictness 60 --snapshot-out", ">"),
+         ("run --strictness 60 --snapshot-out", ">>"),
+         ("resume --snapshot-in", ">>")],
+        ids=["run-fresh", "run-existing", "resume"],
+    )
+    def test_stdout_on_a_snapshot_is_refused_and_the_snapshot_kept(
+        self, command, redirect, tmp_path
+    ):
+        data, snap = tmp_path / "pts.csv", tmp_path / "o.x"
+        data.write_bytes(b"1,2\n1.1,2\n5,9\n")
+        if redirect == ">>":
+            assert main(["run", "--strictness", "60", "--input", str(data),
+                         "--output", os.devnull, "--snapshot-out", str(snap)]) == 0
+        before = snap.read_bytes() if snap.exists() else b""
+        # the absent input shows the refusal comes before the input is read
+        proc = subprocess.run(
+            ["sh", "-c", f'exec "$0" -m strictcluster {command} "$1" --input "$2" '
+             f'{redirect} "$1"', sys.executable, snap, tmp_path / "absent.csv"],
+            capture_output=True,
+            timeout=60,
+        )
+        flag = command.split()[-1]
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"strictcluster: error: --output - is the {flag} file; "
+            "records and a snapshot cannot share a file\n"
+        ).encode()
+        assert snap.read_bytes() == before
 
     def test_console_script_if_installed(self, golden_csv):
         exe = shutil.which("strictcluster")

@@ -23,7 +23,6 @@ from strictcluster import (
     DecisionPath,
     DimensionMismatch,
     FeatureSumOverflow,
-    InvariantViolation,
     MatchProfile,
     NegativeFeature,
     run_stream,
@@ -238,21 +237,12 @@ class TestExactness:
 
 
 class TestStreamDiscipline:
-    def test_seq_must_continue_the_stream(self):
-        eng = ClusteringEngine(Config(60.0, 1))
-        with pytest.raises(InvariantViolation):
-            eng.assign(DataPoint(seq=5, features=(1.0,)))
-        eng.assign(DataPoint(seq=0, features=(1.0,)))
-        eng.assign(DataPoint(seq=1, features=(1.0,)))
-        with pytest.raises(InvariantViolation):
-            eng.assign(DataPoint(seq=1, features=(1.0,)))
-
     def test_dimension_mismatch(self):
         eng = ClusteringEngine(Config(60.0, 2))
         with pytest.raises(DimensionMismatch):
             eng.assign([1.0, 2.0, 3.0])
         with pytest.raises(DimensionMismatch):
-            eng.assign(DataPoint(seq=0, features=(1.0,)))
+            eng.assign(DataPoint(features=(1.0,)))
 
     def test_bare_sequences_are_validated(self):
         eng = ClusteringEngine(Config(60.0, 2))
@@ -441,7 +431,7 @@ class TestProfileRecording:
         lo, hi = strictness, 200.0 - strictness
         tiebreaks = pairwise_differs = 0
         for seq, p in enumerate(make(random.Random(31))):
-            dp = DataPoint(seq, tuple(p))
+            dp = DataPoint(tuple(p))
             centroids = [eng.cluster(cid).centroid() for cid in range(1, eng.cluster_count + 1)]
             want = tuple(
                 MatchProfile(cid, *naive_profile(dp.features, cent, strictness))

@@ -18,23 +18,23 @@ from strictcluster import (
     PointStream,
 )
 from strictcluster.cli import main
+from strictcluster.engine import ClusteringEngine
 from strictcluster.ingestion import _parse_csv_fields, _parse_jsonl_fields
 
 CFG2 = Config(60.0, 2)
 CFG3 = Config(60.0, 3)
 
 
-def only_point(text, fmt, config, seq=0):
+def only_point(text, fmt, config):
     """The one point a PointStream reads from a one-line source."""
-    (point,) = PointStream(io.StringIO(text), fmt, config, start_seq=seq)
+    (point,) = PointStream(io.BytesIO(text.encode()), fmt, config)
     return point
 
 
 class TestCsvLine:
     def test_parses_numbers(self):
-        dp = only_point("10,15.5,2e1", "csv", CFG3, seq=4)
+        dp = only_point("10,15.5,2e1", "csv", CFG3)
         assert dp.features == (10.0, 15.5, 20.0)
-        assert dp.seq == 4
         assert dp.label is None
 
     def test_tolerates_field_whitespace(self):
@@ -127,10 +127,9 @@ def per_field_parse(line):
 
 class TestJsonlLine:
     def test_parses_object_with_label(self):
-        dp = only_point('{"features": [1, 2.5], "id": "a7"}', "jsonl", CFG2, seq=3)
+        dp = only_point('{"features": [1, 2.5], "id": "a7"}', "jsonl", CFG2)
         assert dp.features == (1.0, 2.5)
         assert dp.label == "a7"
-        assert dp.seq == 3
 
     def test_label_is_optional(self):
         assert only_point('{"features": [1, 2]}', "jsonl", CFG2).label is None
@@ -217,47 +216,53 @@ def collect(stream):
     return list(stream)
 
 
+def engine_seqs(points, config):
+    """The seqs an engine gives the points as they arrive."""
+    engine = ClusteringEngine(config)
+    return [engine.assign(p).point_seq for p in points]
+
+
 class TestPointStream:
     def test_assigns_consecutive_seqs(self):
-        stream = PointStream(io.StringIO("1,2\n3,4\n5,6\n"), "csv", CFG2)
+        stream = PointStream(io.BytesIO(b"1,2\n3,4\n5,6\n"), "csv", CFG2)
         points = collect(stream)
-        assert [p.seq for p in points] == [0, 1, 2]
+        assert engine_seqs(points, CFG2) == [0, 1, 2]
         assert points[1].features == (3.0, 4.0)
 
     def test_infers_config_from_first_record(self):
-        stream = PointStream(io.StringIO("1,2,3\n4,5,6\n"), "csv", strictness=75.0)
+        stream = PointStream(io.BytesIO(b"1,2,3\n4,5,6\n"), "csv", strictness=75.0)
         assert stream.config is None
         points = collect(stream)
         assert stream.config == Config(75.0, 3)
         assert len(points) == 2
 
     def test_header_line_is_skipped(self):
-        points = collect(PointStream(io.StringIO("x,y\n1,2\n"), "csv", CFG2))
+        points = collect(PointStream(io.BytesIO(b"x,y\n1,2\n"), "csv", CFG2))
         assert [p.features for p in points] == [(1.0, 2.0)]
 
     def test_numeric_first_line_is_not_a_header(self):
-        points = collect(PointStream(io.StringIO("1,2\n3,4\n"), "csv", CFG2))
+        points = collect(PointStream(io.BytesIO(b"1,2\n3,4\n"), "csv", CFG2))
         assert len(points) == 2
 
     def test_digit_separated_first_field_is_not_a_number(self):
         # one definition of "number" for data and for header detection
-        points = collect(PointStream(io.StringIO("1_0,2\n3,4\n"), "csv", CFG2))
+        points = collect(PointStream(io.BytesIO(b"1_0,2\n3,4\n"), "csv", CFG2))
         assert [p.features for p in points] == [(3.0, 4.0)]
-        stream = PointStream(io.StringIO("1,2\n1_0,2\n"), "csv", CFG2)
+        stream = PointStream(io.BytesIO(b"1,2\n1_0,2\n"), "csv", CFG2)
         with pytest.raises(ParseError) as exc:
             collect(stream)
         assert exc.value.line_number == 2
 
     def test_header_detection_only_applies_to_the_first_content_line(self):
-        stream = PointStream(io.StringIO("1,2\nx,y\n"), "csv", CFG2)
+        stream = PointStream(io.BytesIO(b"1,2\nx,y\n"), "csv", CFG2)
         with pytest.raises(ParseError) as exc:
             collect(stream)
         assert exc.value.line_number == 2
 
     def test_blank_lines_are_ignored_everywhere(self):
         text = "\n\nx,y\n1,2\n\n3,4\n   \n"
-        points = collect(PointStream(io.StringIO(text), "csv", CFG2))
-        assert [p.seq for p in points] == [0, 1]
+        points = collect(PointStream(io.BytesIO(text.encode()), "csv", CFG2))
+        assert [p.features for p in points] == [(1.0, 2.0), (3.0, 4.0)]
 
     def test_crlf_and_bytes_sources(self, tmp_path, capsys):
         data = b"1,2\r\n3,4\r\n"
@@ -288,9 +293,9 @@ class TestPointStream:
         assert [f"strictcluster: skipped {s}\n" for s in seen] == [err]
 
     def test_halt_raises_with_line_number(self):
-        stream = PointStream(io.StringIO("1,2\n1,oops\n3,4\n"), "csv", CFG2)
+        stream = PointStream(io.BytesIO(b"1,2\n1,oops\n3,4\n"), "csv", CFG2)
         it = iter(stream)
-        assert next(it).seq == 0
+        assert next(it).features == (1.0, 2.0)
         with pytest.raises(ParseError) as exc:
             next(it)
         assert exc.value.line_number == 2
@@ -298,45 +303,41 @@ class TestPointStream:
     def test_skip_reports_and_continues(self):
         seen = []
         stream = PointStream(
-            io.StringIO("1,2\n1,oops\n3,4\n5,-1\n7,8\n"),
+            io.BytesIO(b"1,2\n1,oops\n3,4\n5,-1\n7,8\n"),
             "csv",
             CFG2,
             on_error="skip",
             on_skip=seen.append,
         )
         points = collect(stream)
-        assert [p.seq for p in points] == [0, 1, 2]  # skipped lines use no seq
+        assert engine_seqs(points, CFG2) == [0, 1, 2]  # skipped lines use no seq
         assert [p.features[0] for p in points] == [1.0, 3.0, 7.0]
         assert [s.line_number for s in seen] == [2, 4]
         assert str(seen[0]).startswith("line 2: ")
 
     def test_width_change_mid_stream(self):
-        stream = PointStream(io.StringIO("1,2\n1,2,3\n"), "csv", strictness=60.0)
+        stream = PointStream(io.BytesIO(b"1,2\n1,2,3\n"), "csv", strictness=60.0)
         with pytest.raises(DimensionMismatch) as exc:
             collect(stream)
         assert exc.value.line_number == 2
 
-    def test_start_seq_offsets_numbering(self):
-        points = collect(PointStream(io.StringIO("1,2\n3,4\n"), "csv", CFG2, start_seq=6))
-        assert [p.seq for p in points] == [6, 7]
-
     def test_jsonl_stream_carries_labels(self):
         text = '{"features": [1, 2], "id": "a"}\n{"features": [3, 4]}\n'
-        points = collect(PointStream(io.StringIO(text), "jsonl", CFG2))
+        points = collect(PointStream(io.BytesIO(text.encode()), "jsonl", CFG2))
         assert [p.label for p in points] == ["a", None]
 
     def test_empty_source_yields_nothing(self):
-        stream = PointStream(io.StringIO(""), "csv", strictness=60.0)
+        stream = PointStream(io.BytesIO(b""), "csv", strictness=60.0)
         assert collect(stream) == []
         assert stream.config is None
 
     def test_constructor_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            PointStream(io.StringIO(""), "tsv", CFG2)
+            PointStream(io.BytesIO(b""), "tsv", CFG2)
         with pytest.raises(ValueError):
-            PointStream(io.StringIO(""), "csv", CFG2, on_error="ignore")
+            PointStream(io.BytesIO(b""), "csv", CFG2, on_error="ignore")
         with pytest.raises(ValueError):
-            PointStream(io.StringIO(""), "csv")  # neither config nor strictness
+            PointStream(io.BytesIO(b""), "csv")  # neither config nor strictness
 
 
 # line 2 of each holds the byte 0xff, which no UTF-8 text holds
@@ -426,7 +427,6 @@ class TestEncoding:
             "line 1: not valid UTF-8", "line 2: column 1: 'x' is not a number"
         ]
 
-    @pytest.mark.parametrize("as_bytes", [False, True], ids=["text", "bytes"])
     @pytest.mark.parametrize(
         "fmt,text",
         [
@@ -434,11 +434,10 @@ class TestEncoding:
             ("csv", "\ufeffx,y\n3,4\n3,4\n"),
             ("jsonl", '\ufeff{"features": [3, 4]}\n{"features": [3, 4]}\n'),
         ],
-        ids=["csv", "csv-header", "jsonl"],
+        ids=["csv-bytes", "csv-header-bytes", "jsonl-bytes"],
     )
-    def test_one_byte_order_mark_at_the_start_is_dropped(self, as_bytes, fmt, text):
-        source = io.BytesIO(text.encode()) if as_bytes else io.StringIO(text)
-        points = collect(PointStream(source, fmt, CFG2))
+    def test_one_byte_order_mark_at_the_start_is_dropped(self, fmt, text):
+        points = collect(PointStream(io.BytesIO(text.encode()), fmt, CFG2))
         assert [p.features for p in points] == [(3.0, 4.0), (3.0, 4.0)]
 
     @pytest.mark.parametrize(
@@ -451,7 +450,7 @@ class TestEncoding:
         ],
     )
     def test_a_byte_order_mark_elsewhere_is_a_parse_error(self, fmt, text, bad_line):
-        stream = PointStream(io.StringIO(text), fmt, CFG2)
+        stream = PointStream(io.BytesIO(text.encode()), fmt, CFG2)
         with pytest.raises(ParseError) as exc:
             collect(stream)
         assert exc.value.line_number == bad_line

@@ -33,7 +33,11 @@ class TestConfig:
         assert Config(0.5, 1).strictness == 0.5
         assert Config(100.0, 2).strictness == 100.0
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, 100.000001, 150, float("nan"), float("inf"), "60", None, True])
+    @pytest.mark.parametrize(
+        "bad",
+        [0.0, -1.0, 100.000001, 150, float("nan"), float("inf"), "60", None, True,
+         pytest.param(10**400, id="10**400")],
+    )
     def test_rejects_bad_strictness(self, bad):
         with pytest.raises(StrictnessOutOfRange):
             Config(bad, 3)
@@ -50,10 +54,9 @@ class TestConfig:
 
 class TestValidatePoint:
     def test_coerces_to_float_tuple(self):
-        dp = validate_point([1, 2.5, 3], Config(60.0, 3), seq=7, label="a")
+        dp = validate_point([1, 2.5, 3], Config(60.0, 3), label="a")
         assert dp.features == (1.0, 2.5, 3.0)
         assert isinstance(dp.features, tuple)
-        assert dp.seq == 7
         assert dp.label == "a"
 
     def test_zero_and_negative_zero_are_fine(self):
@@ -105,8 +108,8 @@ class TestValidatePoint:
         outcomes = []
         for validate in (validate_point, per_value_validate_point):
             try:
-                dp = validate(values, config, seq=3, label="x")
-                outcomes.append((dp.seq, dp.label, [repr(v) for v in dp.features]))
+                dp = validate(values, config, label="x")
+                outcomes.append((dp.label, [repr(v) for v in dp.features]))
             except (DimensionMismatch, NonFiniteFeature, NegativeFeature) as err:
                 outcomes.append((type(err), str(err)))
         assert outcomes[0] == outcomes[1]
@@ -116,7 +119,7 @@ class TestValidatePoint:
         assert dp.features == (1e308, 1e308)
 
 
-def per_value_validate_point(features, config, seq=0, label=None):
+def per_value_validate_point(features, config, label=None):
     """validate_point checking one value at a time: the reference."""
     vals = tuple(float(v) for v in features)
     if len(vals) != config.n_features:
@@ -126,7 +129,7 @@ def per_value_validate_point(features, config, seq=0, label=None):
             raise NonFiniteFeature(f"feature {j + 1} is not finite: {v!r}")
         if v < 0.0:
             raise NegativeFeature(f"feature {j + 1} is negative: {v!r}")
-    return DataPoint(seq=seq, features=vals, label=label)
+    return DataPoint(features=vals, label=label)
 
 
 class TestCluster:
@@ -231,9 +234,9 @@ class TestVerifyState:
 
 class TestOutcomeTypes:
     def test_datapoint_is_frozen(self):
-        dp = DataPoint(seq=0, features=(1.0,))
+        dp = DataPoint(features=(1.0,))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            dp.seq = 1
+            dp.features = (2.0,)
 
     def test_nan_strictness_rejected_via_comparison(self):
         # NaN fails both range comparisons rather than slipping through

@@ -185,7 +185,7 @@ class TestMatchProfile:
         with pytest.raises(DimensionMismatch):
             eng.assign([1.0])
         with pytest.raises(DimensionMismatch):
-            eng.assign(DataPoint(seq=1, features=(1.0,)))
+            eng.assign(DataPoint(features=(1.0,)))
         narrow = ClusterState(Config(60.0, 2), (cluster_with_centroid([1.0]),), 1)
         with pytest.raises(InvariantViolation, match="width 1"):
             verify_state(narrow)
