@@ -93,23 +93,14 @@ def _open_input(path: str) -> Iterator[IO[bytes]]:
 
 
 @contextlib.contextmanager
-def _open_output(path: str, source: IO[bytes]) -> Iterator[IO[str]]:
-    """The records' stream. A path naming the regular file that ``source``
-    reads is refused, since opening it would truncate the unread input.
-    """
+def _open_output(path: str) -> Iterator[IO[str]]:
+    """The records' stream."""
     if path == "-":
         if sys.stdout is None:  # what Python leaves when fd 1 is closed
             raise OSError("stdout is closed")
         yield sys.stdout
         sys.stdout.flush()
     else:
-        try:  # by descriptor, so a `< file` stdin counts too
-            in_st = os.fstat(source.fileno())
-            same = stat.S_ISREG(in_st.st_mode) and os.path.samestat(in_st, os.stat(path))
-        except (OSError, ValueError):  # no descriptor, or no such output yet
-            same = False
-        if same:
-            raise OSError(f"--output {path} is the input file; it would be truncated")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
 
@@ -264,43 +255,50 @@ def _cluster_stream(
     return engine
 
 
-def _same_file(output: str, path: str) -> bool:
-    """Whether --output names the file at ``path``: the same path, or one
-    existing file. An --output of - is the regular file that stdout writes,
-    if it writes one, as after a shell's ``> path``.
-    """
-    if output != "-" and os.path.abspath(output) == os.path.abspath(path):
-        return True
+def _file_keys(path: str | None, std: str | None = None) -> set[object]:
+    """What names the file at ``path``: its absolute path, unless it exists and
+    is no regular file, and the (device, inode) of a regular file. With ``std``
+    ("stdin" or "stdout"), a path of - is the file behind that stream."""
+    if path is None:
+        return set()
+    by_stream = std is not None and path == "-"
+    names: set[object] = set() if by_stream else {os.path.abspath(path)}
     try:
-        if output == "-":
-            out_st = os.fstat(sys.stdout.fileno())
-            if not stat.S_ISREG(out_st.st_mode):
-                return False
-        else:
-            out_st = os.stat(output)
-        return os.path.samestat(out_st, os.stat(path))
-    # no stdout, no descriptor behind it, or no such file yet
-    except (AttributeError, OSError, ValueError):
-        return False
+        st = os.fstat(getattr(sys, std).fileno()) if by_stream else os.stat(path)
+    except (AttributeError, OSError, ValueError):  # no stream, descriptor or file yet
+        return names
+    if not stat.S_ISREG(st.st_mode):  # a device or a pipe: opening it truncates nothing
+        return set()
+    return names | {(st.st_dev, st.st_ino)}
 
 
-def _check_output_is_no_snapshot(args: argparse.Namespace) -> None:
-    """Refuse an --output that names the snapshot read or written: the
-    records would overwrite the one, or the other would replace them."""
-    for flag, path in (
-        ("--snapshot-in", getattr(args, "snapshot_in", None)),
-        ("--snapshot-out", args.snapshot_out),
+def _check_files(args: argparse.Namespace) -> None:
+    """Refuse a command that would write a file it reads: records never share a
+    file with the input or a snapshot, and --snapshot-out never names the input.
+    --snapshot-out may name --snapshot-in, to resume in place."""
+    keys = {
+        "--output": _file_keys(args.output, "stdout"),
+        "input": _file_keys(args.input, "stdin"),
+        "--snapshot-in": _file_keys(getattr(args, "snapshot_in", None)),
+        "--snapshot-out": _file_keys(args.snapshot_out),
+    }
+    shared = "records and a snapshot cannot share a file"
+    # a stdout on the input was opened by the shell, which may have truncated it
+    truncated = "records and the input cannot share a file" if args.output == "-" else (
+        "it would be truncated")
+    for writer, path, read, why in (
+        ("--output", args.output, "--snapshot-in", shared),
+        ("--output", args.output, "--snapshot-out", shared),
+        ("--output", args.output, "input", truncated),
+        ("--snapshot-out", args.snapshot_out, "input", "the snapshot would replace it"),
     ):
-        if path is not None and _same_file(args.output, path):
-            raise OSError(
-                f"--output {args.output} is the {flag} file; "
-                "records and a snapshot cannot share a file"
-            )
+        if keys[writer] & keys[read]:
+            raise OSError(f"{writer} {path} is the {read} file; {why}")
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     """``run`` and ``resume``: they differ only in how the engine starts."""
-    _check_output_is_no_snapshot(args)
+    _check_files(args)
     engine: ClusteringEngine | None = None
     if args.command == "resume":
         engine = ClusteringEngine.from_state(load_snapshot(args.snapshot_in))
@@ -308,7 +306,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         # Surface a bad strictness before reading anything (the width
         # placeholder is irrelevant; only the range check matters here).
         Config(args.strictness, 1)
-    with _open_input(args.input) as source, _open_output(args.output, source) as out:
+    with _open_input(args.input) as source, _open_output(args.output) as out:
         engine = _cluster_stream(args, engine, source, out)
         state = None  # taken once, for both the summary and the snapshot
         if engine is not None and (args.summary or args.snapshot_out):

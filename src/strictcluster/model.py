@@ -21,6 +21,14 @@ from .errors import (
 )
 
 
+def _shown(value: object) -> str:
+    """repr(value), or a stand-in for an int too long for str() to convert."""
+    try:
+        return repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return "an integer too long to print"
+
+
 @dataclass(frozen=True, slots=True)
 class Config:
     """Run-wide settings: strictness percentage and feature-vector width."""
@@ -34,10 +42,12 @@ class Config:
             raise StrictnessOutOfRange(f"strictness must be a real number, got {s!r}")
         # before float(), which overflows on 10**400; NaN fails both comparisons
         if not (0.0 < s <= 100.0):
-            raise StrictnessOutOfRange(f"strictness must be in (0, 100], got {s!r}")
+            raise StrictnessOutOfRange(f"strictness must be in (0, 100], got {_shown(s)}")
         n = self.n_features
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise BadDimensionality(f"n_features must be a positive integer, got {n!r}")
+            raise BadDimensionality(
+                f"n_features must be a positive integer, got {_shown(n)}"
+            )
         object.__setattr__(self, "strictness", float(s))
 
 
@@ -139,7 +149,8 @@ class AssignmentOutcome:
 def verify_state(
     state: ClusterState, points: Iterable[Sequence[float]] | None = None
 ) -> None:
-    """Audit every structural invariant of a ClusterState; raise on failure.
+    """Audit every structural invariant of a ClusterState, the types of its
+    fields included; raise InvariantViolation on failure.
 
     With ``points`` given (the original stream, in arrival order), also
     replays each cluster's members and checks that the stored feature sums
@@ -147,40 +158,58 @@ def verify_state(
     additions in the same order.
     """
     n = state.config.n_features
-    seen: set[int] = set()
     total = 0
     for pos, cluster in enumerate(state.clusters, start=1):
+        # type() rather than isinstance(): bool is an int subclass but no count
+        if type(cluster.id) is not int or type(cluster.member_count) is not int:
+            raise InvariantViolation(
+                f"cluster at position {pos}: id and member_count must be integers"
+            )
         if cluster.id != pos:
             raise InvariantViolation(
-                f"cluster ids must be contiguous from 1; found {cluster.id} at position {pos}"
+                "cluster ids must be contiguous from 1; "
+                f"found {_shown(cluster.id)} at position {pos}"
             )
         if cluster.member_count < 1:
             raise InvariantViolation(f"cluster {cluster.id} has no members")
         if cluster.member_count != len(cluster.member_seqs):
             raise InvariantViolation(
-                f"cluster {cluster.id}: member_count {cluster.member_count} "
+                f"cluster {cluster.id}: member_count {_shown(cluster.member_count)} "
                 f"!= {len(cluster.member_seqs)} recorded members"
             )
         if len(cluster.feature_sums) != n:
             raise InvariantViolation(
                 f"cluster {cluster.id}: feature_sums has width {len(cluster.feature_sums)}, expected {n}"
             )
+        # one chained comparison per value: nan, inf and negatives all fail it
         for s in cluster.feature_sums:
-            if not math.isfinite(s) or s < 0.0:
+            if type(s) is not float or not 0.0 <= s < math.inf:
                 raise InvariantViolation(
-                    f"cluster {cluster.id}: feature sum {s!r} is not a finite nonnegative value"
+                    f"cluster {cluster.id}: feature sum {_shown(s)} is not a finite "
+                    "nonnegative float"
                 )
-        for seq in cluster.member_seqs:
-            if seq in seen:
-                raise InvariantViolation(f"point seq {seq} appears in more than one cluster")
-            seen.add(seq)
         total += cluster.member_count
-    if total != state.points_seen:
+    points_seen = state.points_seen
+    if type(points_seen) is not int:
+        raise InvariantViolation(f"points_seen {points_seen!r} is not an integer")
+    if total != points_seen:
         raise InvariantViolation(
-            f"member counts sum to {total} but points_seen is {state.points_seen}"
+            f"member counts sum to {total} but points_seen is {_shown(points_seen)}"
         )
-    if seen and (min(seen) < 0 or max(seen) >= state.points_seen or len(seen) != state.points_seen):
-        raise InvariantViolation("member seqs do not partition 0..points_seen-1")
+    # Allocated only once points_seen is the true member count, so a forged
+    # value cannot ask for a huge buffer. With the counts summing to
+    # points_seen, distinct seqs in 0..points_seen-1 partition that range.
+    seen = bytearray(points_seen)
+    for cluster in state.clusters:
+        for seq in cluster.member_seqs:
+            if type(seq) is not int or not 0 <= seq < points_seen:
+                raise InvariantViolation(
+                    "member seqs do not partition 0..points_seen-1: "
+                    f"cluster {cluster.id} holds {_shown(seq)}"
+                )
+            if seen[seq]:
+                raise InvariantViolation(f"point seq {seq} appears in more than one cluster")
+            seen[seq] = 1
 
     if points is None:
         return

@@ -70,6 +70,21 @@ GOLDEN_TABLES = {
     (5, 3): [54.05, 172.97, 111.11, 450, 64.86, 159.42, 85.11, 127.91, 90, 48.54],
 }
 
+# Ill-typed values for fields of the golden state, each at its path in the
+# snapshot payload document: a load and verify_state must refuse every one.
+GOLDEN_ILL_TYPED = {
+    "member_count-2.9": (("clusters", 0, "member_count"), 2.9),
+    "member-seq-1.5": (("clusters", 1, "member_seqs", 0), 1.5),
+    "member-seq-string": (("clusters", 1, "member_seqs", 0), "1"),
+    "points_seen-6.5": (("points_seen",), 6.5),
+    "points_seen-6.0": (("points_seen",), 6.0),
+    "id-true": (("clusters", 0, "id"), True),
+    "id-1.0": (("clusters", 0, "id"), 1.0),
+    "sum-true": (("clusters", 0, "feature_sums", 0), True),
+    "sum-string": (("clusters", 0, "feature_sums", 0), "1"),
+    "sum-401-digits": (("clusters", 0, "feature_sums", 0), 10**400),
+}
+
 
 def cents(value):
     """A 2-decimal value as an integer count of hundredths."""

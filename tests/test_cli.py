@@ -765,6 +765,31 @@ class TestSubprocess:
         assert proc.stdout == b""
         assert data.read_bytes() == b"1,2\n1.1,2\n5,9\n"
 
+    RECORDS_ON_INPUT = "--output - is the input file; records and the input cannot share a file"
+    SNAPSHOT_ON_INPUT = "--snapshot-out {} is the input file; the snapshot would replace it"
+
+    @pytest.mark.parametrize(
+        "args,redirect,refusal",
+        [(["--input", "{}"], '>> "{}"', RECORDS_ON_INPUT),
+         ([], '< "{}" >> "{}"', RECORDS_ON_INPUT),
+         (["--input", "{}", "--snapshot-out", "{}"], "", SNAPSHOT_ON_INPUT),
+         (["--snapshot-out", "{}"], '< "{}"', SNAPSHOT_ON_INPUT)],
+        ids=["input-appended", "stdin-appended", "input-snapshot-out", "stdin-snapshot-out"],
+    )
+    def test_a_write_onto_the_input_is_refused_and_the_input_kept(
+        self, args, redirect, refusal, tmp_path
+    ):
+        data = tmp_path / "pts.csv"
+        data.write_bytes(b"1,2\n1.1,2\n5,9\n")
+        proc = self.run_child(
+            [arg.format(data) for arg in args], None, redirect.format(data, data)
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"strictcluster: error: {refusal.format(data)}\n".encode()
+        assert proc.stdout == b""
+        assert data.read_bytes() == b"1,2\n1.1,2\n5,9\n"
+        assert list(tmp_path.iterdir()) == [data]  # no snapshot and no temp file
+
     @pytest.mark.parametrize(
         "command,redirect",
         [("run --strictness 60 --snapshot-out", ">"),

@@ -18,9 +18,12 @@ from strictcluster import (
     NegativeFeature,
     NonFiniteFeature,
     StrictnessOutOfRange,
+    run_stream,
     validate_point,
     verify_state,
 )
+
+from golden import GOLDEN_ILL_TYPED, GOLDEN_N_FEATURES, GOLDEN_POINTS, GOLDEN_STRICTNESS
 
 GOOD = Config(60.0, 10)
 
@@ -36,13 +39,15 @@ class TestConfig:
     @pytest.mark.parametrize(
         "bad",
         [0.0, -1.0, 100.000001, 150, float("nan"), float("inf"), "60", None, True,
-         pytest.param(10**400, id="10**400")],
+         pytest.param(10**400, id="10**400"), pytest.param(10**5000, id="10**5000")],
     )
     def test_rejects_bad_strictness(self, bad):
         with pytest.raises(StrictnessOutOfRange):
             Config(bad, 3)
 
-    @pytest.mark.parametrize("bad", [0, -1, 2.5, True, None, "3"])
+    @pytest.mark.parametrize(
+        "bad", [0, -1, 2.5, True, None, "3", pytest.param(-(10**5000), id="-10**5000")]
+    )
     def test_rejects_bad_width(self, bad):
         with pytest.raises(BadDimensionality):
             Config(60.0, bad)
@@ -207,6 +212,31 @@ class TestVerifyState:
         shifted = dataclasses.replace(make_state().clusters[1], member_seqs=(3,))
         with pytest.raises(InvariantViolation, match="partition"):
             verify_state(make_state(clusters=(make_state().clusters[0], shifted)))
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            *(pytest.param(*field, id=name) for name, field in GOLDEN_ILL_TYPED.items()),
+            pytest.param(("clusters", 0, "member_count"), 2.0, id="member_count-2.0"),
+        ],
+    )
+    def test_ill_typed_fields_are_rejected(self, path, value):
+        # the values that a snapshot load refuses, set on the state directly
+        state, _ = run_stream(Config(GOLDEN_STRICTNESS, GOLDEN_N_FEATURES), GOLDEN_POINTS)
+        verify_state(state)
+        if path == ("points_seen",):
+            state = dataclasses.replace(state, points_seen=value)
+        else:
+            _, i, field, *j = path
+            clusters = list(state.clusters)
+            if j:  # one entry of a tuple field
+                entries = list(getattr(clusters[i], field))
+                entries[j[0]] = value
+                value = tuple(entries)
+            clusters[i] = dataclasses.replace(clusters[i], **{field: value})
+            state = dataclasses.replace(state, clusters=tuple(clusters))
+        with pytest.raises(InvariantViolation):
+            verify_state(state)
 
     def test_replay_accepts_matching_stream(self):
         points = [[1.0, 3.0], [9.0, 1.0], [2.0, 4.0]]

@@ -25,7 +25,7 @@ from strictcluster import (
 from strictcluster.cli import main
 
 from generators import random_case
-from golden import GOLDEN_N_FEATURES, GOLDEN_POINTS, GOLDEN_STRICTNESS
+from golden import GOLDEN_ILL_TYPED, GOLDEN_N_FEATURES, GOLDEN_POINTS, GOLDEN_STRICTNESS
 
 
 @pytest.fixture
@@ -281,13 +281,7 @@ class TestCorruption:
     @pytest.mark.parametrize(
         "path,value",
         [
-            pytest.param(("clusters", 0, "member_count"), 2.9, id="member_count-2.9"),
-            pytest.param(("clusters", 1, "member_seqs", 0), 1.5, id="member-seq-1.5"),
-            pytest.param(("clusters", 1, "member_seqs", 0), "1", id="member-seq-string"),
-            pytest.param(("points_seen",), 6.5, id="points_seen-6.5"),
-            pytest.param(("clusters", 0, "id"), True, id="id-true"),
-            pytest.param(("clusters", 0, "feature_sums", 0), True, id="sum-true"),
-            pytest.param(("clusters", 0, "feature_sums", 0), 10**400, id="sum-401-digits"),
+            *(pytest.param(*field, id=name) for name, field in GOLDEN_ILL_TYPED.items()),
             pytest.param(("clusters", 0, "feature_sums", 0), 2, id="sum-2-is-valid"),
         ],
     )
