@@ -275,7 +275,14 @@ def _file_keys(path: str | None, std: str | None = None) -> set[object]:
 def _check_files(args: argparse.Namespace) -> None:
     """Refuse a command that would write a file it reads: records never share a
     file with the input or a snapshot, and --snapshot-out never names the input.
-    --snapshot-out may name --snapshot-in, to resume in place."""
+    --snapshot-out may name --snapshot-in, to resume in place. Refuse also an
+    existing --snapshot-out that is no regular file, which the snapshot would
+    replace: a FIFO, a device or a directory."""
+    out = args.snapshot_out
+    if out is not None and os.path.exists(out) and not os.path.isfile(out):
+        raise OSError(
+            f"--snapshot-out {out} is not a regular file; the snapshot would replace it"
+        )
     keys = {
         "--output": _file_keys(args.output, "stdout"),
         "input": _file_keys(args.input, "stdin"),

@@ -167,11 +167,11 @@ class ClusteringEngine:
     def assign(self, point: DataPoint | Sequence[float]) -> AssignmentOutcome:
         """Place one point and update the receiving cluster.
 
-        Accepts a validated DataPoint, or a bare feature sequence which is
-        validated first. The outcome's ``point_seq`` is the point's 0-based
-        position in the stream, which the engine alone numbers. The outcome
-        reports the winner's profile only; :meth:`profiles` scores the point
-        against every cluster.
+        Accepts a DataPoint, which checked its values when it was built, or a
+        bare feature sequence which is validated first. The outcome's
+        ``point_seq`` is the point's 0-based position in the stream, which the
+        engine alone numbers. The outcome reports the winner's profile only;
+        :meth:`profiles` scores the point against every cluster.
         """
         seq = self._points_seen
         dp = self._coerce(point)

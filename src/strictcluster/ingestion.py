@@ -63,15 +63,20 @@ def _parse_csv_fields(line: str) -> list[float]:
     return values
 
 
-def _parse_jsonl_fields(line: str) -> tuple[list[float], str | None]:
+def parse_json(text: str) -> object:
+    """The value of a JSON text read from outside; every failure is a ParseError."""
     try:
-        obj = json.loads(line)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid JSON: {err.msg}", column=err.colno) from None
     except ValueError:  # an integer literal past the interpreter's digit limit
         raise ParseError("invalid JSON: integer literal too long") from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
+
+
+def _parse_jsonl_fields(line: str) -> tuple[list[float], str | None]:
+    obj = parse_json(line)
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object")
     if "features" not in obj:

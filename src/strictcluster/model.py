@@ -54,10 +54,27 @@ class Config:
 @dataclass(frozen=True, slots=True)
 class DataPoint:
     """One arrival in the stream: its features and optional label. Its stream
-    position is numbered by the engine, as ``outcome.point_seq``."""
+    position is numbered by the engine, as ``outcome.point_seq``.
+
+    The features are stored as floats and must be finite and nonnegative.
+    """
 
     features: tuple[float, ...]
     label: str | None = None  # optional caller-supplied id, carried through outputs
+
+    def __post_init__(self):
+        vals = tuple(map(float, self.features))
+        # A finite sum rules out nan and inf. The loop names the first bad
+        # feature, and also accepts a finite vector whose sum overflows. An
+        # empty vector skips it, as min() of nothing fails; the truth test is
+        # cheaper per point than min(vals, default=0.0).
+        if vals and not (math.isfinite(sum(vals)) and min(vals) >= 0.0):
+            for j, v in enumerate(vals):
+                if not math.isfinite(v):
+                    raise NonFiniteFeature(f"feature {j + 1} is not finite: {v!r}")
+                if v < 0.0:
+                    raise NegativeFeature(f"feature {j + 1} is negative: {v!r}")
+        object.__setattr__(self, "features", vals)
 
 
 def validate_point(
@@ -65,24 +82,13 @@ def validate_point(
     config: Config,
     label: str | None = None,
 ) -> DataPoint:
-    """Check a feature vector against the config and wrap it as a DataPoint.
-
-    Values must match the configured width and be finite and nonnegative.
-    """
-    vals = tuple(map(float, features))
-    if len(vals) != config.n_features:
+    """Check a feature vector's width against the config and wrap it as a
+    DataPoint, which checks its values."""
+    if len(features) != config.n_features:
         raise DimensionMismatch(
-            f"expected {config.n_features} features, got {len(vals)}"
+            f"expected {config.n_features} features, got {len(features)}"
         )
-    # A finite sum rules out nan and inf. The loop names the first bad
-    # feature, and also accepts a finite vector whose sum overflows.
-    if not (math.isfinite(sum(vals)) and min(vals) >= 0.0):
-        for j, v in enumerate(vals):
-            if not math.isfinite(v):
-                raise NonFiniteFeature(f"feature {j + 1} is not finite: {v!r}")
-            if v < 0.0:
-                raise NegativeFeature(f"feature {j + 1} is negative: {v!r}")
-    return DataPoint(features=vals, label=label)
+    return DataPoint(features, label)
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,10 +220,18 @@ def verify_state(
     if points is None:
         return
     stream = [tuple(float(v) for v in p) for p in points]
+    if len(stream) < points_seen:
+        raise InvariantViolation(
+            f"replay needs {points_seen} points, {len(stream)} were given"
+        )
     for cluster in state.clusters:
         replayed = [0.0] * n
         for seq in cluster.member_seqs:
             feats = stream[seq]
+            if len(feats) != n:
+                raise InvariantViolation(
+                    f"point seq {seq} has {len(feats)} features, expected {n}"
+                )
             for j in range(n):
                 replayed[j] += feats[j]
         for j in range(n):

@@ -24,9 +24,11 @@ universal-newline text read.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import stat
 import tempfile
 from pathlib import Path
 from typing import Iterator
@@ -35,9 +37,11 @@ from .errors import (
     ChecksumMismatch,
     ClusteringError,
     InvariantViolation,
+    ParseError,
     SnapshotFormatError,
     VersionUnsupported,
 )
+from .ingestion import parse_json
 from .model import Cluster, ClusterState, Config, verify_state
 
 SNAPSHOT_FORMAT = "strictcluster-snapshot"
@@ -93,11 +97,15 @@ def save_snapshot(state: ClusterState, destination: str | os.PathLike) -> None:
 
     The payload is hashed as it is written, and the header, whose digest
     field is always 64 hex digits wide, goes last into the space left for it.
+    A snapshot that replaces a file keeps that file's permission bits; a new
+    one has mkstemp's mode, 0600.
     """
     dest = Path(destination)
     fd, tmp_name = tempfile.mkstemp(dir=dest.parent, prefix=dest.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
+            with contextlib.suppress(FileNotFoundError):
+                os.fchmod(fd, stat.S_IMODE(os.stat(dest).st_mode))
             fh.write(_header("0" * 64) + b"\n")
             digest = hashlib.sha256()
             for chunk in _payload_chunks(state):
@@ -146,9 +154,9 @@ def load_snapshot(source: str | os.PathLike) -> ClusterState:
     """Read a snapshot back; the result passes every ClusterState invariant."""
     header_line, payload_text, digest = _read_lines(source)
     try:
-        header = json.loads(header_line)
-    except json.JSONDecodeError as err:
-        raise SnapshotFormatError(f"unreadable snapshot header: {err.msg}") from None
+        header = parse_json(header_line)
+    except ParseError as err:
+        raise SnapshotFormatError(f"unreadable snapshot header: {err}") from None
     if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
         raise SnapshotFormatError("not a strictcluster snapshot")
     version = header.get("format_version")
@@ -165,35 +173,26 @@ def load_snapshot(source: str | os.PathLike) -> ClusterState:
         )
 
     try:
-        doc = json.loads(payload_text)
+        doc = parse_json(payload_text)
         del payload_text  # free the text before the clusters are built
         config = Config(doc["config"]["strictness"], doc["config"]["n_features"])
         clusters = tuple(map(_cluster, doc["clusters"]))
-        points_seen = doc["points_seen"]
-        if type(points_seen) is not int:
-            raise TypeError(f"points_seen {points_seen!r} is not an integer")
-        state = ClusterState(config=config, clusters=clusters, points_seen=points_seen)
-    except InvariantViolation:
-        raise
+        state = ClusterState(config=config, clusters=clusters, points_seen=doc["points_seen"])
+        verify_state(state)
     except (ClusteringError, KeyError, TypeError, ValueError, OverflowError) as err:
         raise InvariantViolation(f"snapshot payload is inconsistent: {err}") from err
-    verify_state(state)
     return state
 
 
 def _cluster(doc: dict) -> Cluster:
-    """One payload cluster: integer id, count and seqs, and number sums."""
-    sums, seqs = doc["feature_sums"], doc["member_seqs"]
+    """One payload cluster, for verify_state to judge; only numbers become sums."""
+    sums = doc["feature_sums"]
     # type() rather than isinstance(): bool is an int subclass but not a number
-    if not set(map(type, [doc["id"], doc["member_count"], *seqs])) <= {int}:
-        raise TypeError(
-            f"cluster {doc['id']!r}: id, member_count and member_seqs must be integers"
-        )
     if not set(map(type, sums)) <= {int, float}:
         raise TypeError(f"cluster {doc['id']}: feature_sums must be numbers")
     return Cluster(
         id=doc["id"],
         member_count=doc["member_count"],
         feature_sums=tuple(map(float, sums)),
-        member_seqs=tuple(seqs),
+        member_seqs=tuple(doc["member_seqs"]),
     )

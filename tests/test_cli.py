@@ -305,6 +305,29 @@ class TestRun:
         assert code == 0
         assert capsys.readouterr() == ("", "")
 
+    @pytest.mark.parametrize(
+        "make",
+        [pytest.param(getattr(os, "mkfifo", None), id="fifo", marks=pytest.mark.skipif(
+            not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")),
+         pytest.param(os.mkdir, id="directory")],
+    )
+    def test_a_snapshot_out_that_is_no_regular_file_is_refused_and_kept(
+        self, make, tmp_path, capsys
+    ):
+        node = tmp_path / "p"
+        make(node)
+        kind = os.stat(node).st_mode
+        # the absent input shows the refusal comes before the input is read
+        code = main(["run", "--strictness", "60", "--input", str(tmp_path / "absent.csv"),
+                     "--snapshot-out", str(node)])
+        assert code == 1
+        assert capsys.readouterr() == ("", (
+            f"strictcluster: error: --snapshot-out {node} is not a regular file; "
+            "the snapshot would replace it\n"
+        ))
+        assert os.stat(node).st_mode == kind
+        assert list(tmp_path.iterdir()) == [node]  # no temp file either
+
     def test_unwritable_output(self, golden_csv, tmp_path, capsys):
         code = main(
             ["run", "--strictness", "60", "--input", str(golden_csv),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -124,6 +125,25 @@ class TestValidatePoint:
         assert dp.features == (1e308, 1e308)
 
 
+class TestDataPoint:
+    @pytest.mark.parametrize(
+        "features,error,message",
+        [((-1.0, 5.0), NegativeFeature, "feature 1 is negative: -1.0"),
+         ((math.nan, 5.0), NonFiniteFeature, "feature 1 is not finite: nan"),
+         ((5.0, -math.inf), NonFiniteFeature, "feature 2 is not finite: -inf"),
+         ((5.0, -2.0, math.nan), NegativeFeature, "feature 2 is negative: -2.0")],
+    )
+    def test_an_invalid_point_cannot_be_built(self, features, error, message):
+        # refused here, or the engine would take it into a sum that no snapshot loads
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            DataPoint(features)
+
+    def test_features_are_stored_as_a_float_tuple(self):
+        dp = DataPoint([1, 2.5, 3], label="a")
+        assert dp.features == (1.0, 2.5, 3.0)
+        assert all(type(v) is float for v in dp.features)
+
+
 def per_value_validate_point(features, config, label=None):
     """validate_point checking one value at a time: the reference."""
     vals = tuple(float(v) for v in features)
@@ -241,6 +261,16 @@ class TestVerifyState:
     def test_replay_accepts_matching_stream(self):
         points = [[1.0, 3.0], [9.0, 1.0], [2.0, 4.0]]
         verify_state(make_state(), points)
+
+    def test_replay_with_too_few_points_is_a_violation(self):
+        with pytest.raises(InvariantViolation, match="^replay needs 3 points, 2 were given$"):
+            verify_state(make_state(), [[1.0, 3.0], [9.0, 1.0]])
+
+    def test_replay_with_a_narrow_point_is_a_violation(self):
+        with pytest.raises(
+            InvariantViolation, match="^point seq 2 has 1 features, expected 2$"
+        ):
+            verify_state(make_state(), [[1.0, 3.0], [9.0, 1.0], [2.0]])
 
     def test_replay_rejects_drifted_sums(self):
         points = [[1.0, 3.0], [9.0, 1.0], [2.0, 4.0]]

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
+import stat
 
 import pytest
 
@@ -187,6 +189,23 @@ def test_load_missing_file_raises_oserror(tmp_path):
         load_snapshot(tmp_path / "absent.snap")
 
 
+@pytest.mark.parametrize("mode", [0o644, 0o640], ids=oct)
+def test_a_replaced_snapshot_keeps_its_mode(golden_state, tmp_path, mode):
+    # the temp file that replaces it is made 0600, whatever the umask
+    path = tmp_path / "state.snap"
+    save_snapshot(golden_state, path)
+    path.chmod(mode)
+    save_snapshot(golden_state, path)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert load_snapshot(path) == golden_state
+
+
+def test_a_new_snapshot_is_mode_0600(golden_state, tmp_path):
+    path = tmp_path / "state.snap"
+    save_snapshot(golden_state, path)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
 class TestCorruption:
     def write(self, tmp_path, state):
         path = tmp_path / "state.snap"
@@ -327,3 +346,32 @@ class TestCorruption:
         path.write_text(json.dumps(header) + "\n" + garbage + "\n")
         with pytest.raises(InvariantViolation):
             load_snapshot(path)
+
+    DEEP = "[" * 200_000
+
+    @pytest.mark.parametrize(
+        "header,payload,error,reason",
+        [(DEEP, "{}", SnapshotFormatError,
+          "unreadable snapshot header: invalid JSON: nested too deeply"),
+         ('{"format_version":' + "9" * 5001 + "}", "{}", SnapshotFormatError,
+          "unreadable snapshot header: invalid JSON: integer literal too long"),
+         (None, DEEP, InvariantViolation,
+          "snapshot payload is inconsistent: invalid JSON: nested too deeply")],
+        ids=["deep-header", "header-5001-digits", "deep-payload"],
+    )
+    def test_json_the_decoder_refuses_is_one_error_line(
+        self, tmp_path, capsys, header, payload, error, reason
+    ):
+        # the decoder itself fails on these, with a RecursionError or ValueError
+        if header is None:  # a valid header, so the payload is decoded
+            header = json.dumps({
+                "format": SNAPSHOT_FORMAT,
+                "format_version": SNAPSHOT_VERSION,
+                "payload_sha256": hashlib.sha256(payload.encode()).hexdigest(),
+            })
+        path = tmp_path / "state.snap"
+        path.write_text(header + "\n" + payload + "\n")
+        with pytest.raises(error, match=f"^{re.escape(reason)}$"):
+            load_snapshot(path)
+        assert main(["inspect", "--snapshot-in", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"strictcluster: error: {reason}\n")
