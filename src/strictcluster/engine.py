@@ -1,11 +1,21 @@
 """Single-pass streaming assignment loop.
 
-Every arriving point is scored against all current clusters. Clusters whose
+Every arriving point is checked against all current clusters. Clusters whose
 matched-feature count reaches the should-match threshold form the qualified
 list; the point joins the best of them (most matched features, then highest
 average of scaled qualifying similarities, then earliest-created), or founds
 a new cluster when the list is empty. Centroids are maintained as running
 sums divided by member count.
+
+Once k is large, :meth:`ClusteringEngine.assign` count-filters first. A
+qualifier misses at most n - need features, so among the first m feature
+rows it matches at least m - (n - need). The engine scores those m rows of
+every cluster, then fully scores only the clusters that reach that count;
+the rest cannot qualify. The head rows are the full kernel's own divisions
+and fix-ups, so the outcome is the full scan's, bit for bit. The filter runs
+when n - need < m < n (see :func:`_head_rows`) and the rows it can skip,
+(n - m) * k, number at least ``_FILTER_MIN_SKIPPED``; below that its extra
+numpy calls cost more than the rows they save.
 
 The per-cluster scan is vectorized with numpy, but every arithmetic step
 mirrors this module's :func:`feature_similarity` and the band check
@@ -79,6 +89,28 @@ def should_match_features(config: Config) -> int:
     return -((-p * config.n_features) // (100 * q))
 
 
+# The count filter runs once it can skip this many divisions per point.
+_FILTER_MIN_SKIPPED = 10_000
+
+
+def _head_rows(n: int, need: int) -> int:
+    """Feature rows the count filter scores first: about 1.8 * (n - need).
+
+    At least n - need + 1, so every qualifier must match one of them. The
+    filter is off when this is n or more.
+    """
+    slack = n - need
+    return max(9 * slack // 5, slack + 1)
+
+
+def _fixups(features: tuple[float, ...]) -> tuple[bool, bool]:
+    """Whether 100 * d overflows for any feature d, and whether any d is zero.
+
+    `in` compares with ==, so -0.0 counts as zero.
+    """
+    return 100.0 * max(features) == math.inf, 0.0 in features
+
+
 def _qualifying_avg(sims: np.ndarray, band: np.ndarray, i: int) -> float:
     """Average of cluster i's in-band similarities, each v above 100 as 200 - v.
 
@@ -105,6 +137,8 @@ class ClusteringEngine:
         self._lo, self._hi = qualifying_range(config.strictness)
         self._need = should_match_features(config)
         self._count_type = np.min_scalar_type(self._n)
+        self._head = _head_rows(self._n, self._need)
+        self._head_need = self._head - (self._n - self._need)
         self._points_seen = 0
         self._sums = np.zeros((0, self._n), dtype=np.float64)
         self._counts: list[int] = []
@@ -176,10 +210,21 @@ class ClusteringEngine:
         seq = self._points_seen
         dp = self._coerce(point)
         f = np.asarray(dp.features, dtype=np.float64)
+        n, m = self._n, self._head
+        overflows, zeros = _fixups(dp.features)
 
-        # Score against every cluster as the state stood before this point.
+        # Score against the state as it stood before this point; once k is
+        # large, only the clusters that pass the count filter (module doc).
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            sims, band, matched = self._score(f, dp.features)
+            if m < n and (n - m) * len(self._counts) >= _FILTER_MIN_SKIPPED:
+                head = self._score(f[:m], self._cents[:m], overflows, zeros)[2]
+                # ascending: the kept columns stay in creation order, so an
+                # exact tie still goes to the earliest cluster
+                kept = (head >= self._head_need).nonzero()[0]
+                cents = self._cents[:, kept]
+            else:
+                kept, cents = None, self._cents
+            sims, band, matched = self._score(f, cents, overflows, zeros)
             qualified_ids = (matched >= self._need).nonzero()[0]
 
             win_avg = None
@@ -203,6 +248,12 @@ class ClusteringEngine:
                     widx = int(tied[avgs.index(win_avg)])
                     path = DecisionPath.AVG_TIEBREAK
             if widx >= 0:
+                # a winner qualified, so it matched at least one feature
+                win_matched = int(matched[widx])
+                if win_avg is None:
+                    win_avg = _qualifying_avg(sims, band, widx)
+                if kept is not None:
+                    widx = int(kept[widx])
                 total = self._sums[widx] + f
 
         if widx < 0:
@@ -219,15 +270,12 @@ class ClusteringEngine:
                 f"cluster {widx + 1} past the largest float"
             )
         self._join(widx, total, seq)
-        # a winner qualified, so it matched at least one feature
-        if win_avg is None:
-            win_avg = _qualifying_avg(sims, band, widx)
         return AssignmentOutcome(
             point_seq=seq,
             assigned_cluster_id=widx + 1,
             created_new=False,
             decision_path=path,
-            winner_profile=MatchProfile(widx + 1, int(matched[widx]), win_avg),
+            winner_profile=MatchProfile(widx + 1, win_matched, win_avg),
         )
 
     def profiles(
@@ -241,9 +289,8 @@ class ClusteringEngine:
         """
         dp = self._coerce(point)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            sims, band, matched = self._score(
-                np.asarray(dp.features, dtype=np.float64), dp.features
-            )
+            f = np.asarray(dp.features, dtype=np.float64)
+            sims, band, matched = self._score(f, self._cents, *_fixups(dp.features))
         return tuple(
             MatchProfile(i + 1, c, _qualifying_avg(sims, band, i) if c else None)
             for i, c in enumerate(matched.tolist())
@@ -252,25 +299,26 @@ class ClusteringEngine:
     # -- internals ---------------------------------------------------------
 
     def _score(
-        self, f: np.ndarray, features: tuple[float, ...]
+        self, f: np.ndarray, cents: np.ndarray, overflows: bool, zeros: bool
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Similarities, band mask and matched counts of one point, n by k.
+        """Similarities, band mask and matched counts of point rows f, n by k.
 
-        ``f`` is ``features`` as float64. Callers hold np.errstate with
-        divide, invalid and over ignored.
+        ``f`` holds the point's values as float64 for the rows of ``cents``,
+        all n of them or the count filter's first m. ``overflows`` and
+        ``zeros`` are :func:`_fixups` of the whole point, taken once per
+        point. Callers hold np.errstate with divide, invalid and over ignored.
         """
-        cents = self._cents
         sims = (100.0 * f)[:, None] / cents
         # 100 * d overflows for d above about 1.8e306: those rows divide
         # first, as 100 * (d / c)
-        if 100.0 * max(features) == math.inf:
+        if overflows:
             for j in np.isinf(100.0 * f).nonzero()[0]:
                 sims[j] = 100.0 * (f[j] / cents[j])
         # zero centroid feature: an exactly-zero point value is identical
         # (similarity 100, fixed up here from the nan of 0/0); a positive
         # one is undefined and the inf left by the division never falls
-        # inside the band. `in` compares with ==, so -0.0 counts as zero.
-        if 0.0 in features:
+        # inside the band.
+        if zeros:
             for j in (f == 0.0).nonzero()[0]:
                 row = sims[j]
                 row[cents[j] == 0.0] = 100.0

@@ -29,8 +29,11 @@ from strictcluster import (
     should_match_features,
     verify_state,
 )
+from strictcluster import engine as engine_module
+from strictcluster.engine import _head_rows
 
 from generators import (
+    STRICTNESS_CHOICES,
     anchored_points,
     integer_points,
     random_case,
@@ -56,6 +59,29 @@ from reference import (
 )
 
 GOLDEN_CONFIG = Config(GOLDEN_STRICTNESS, GOLDEN_N_FEATURES)
+FILTER_MIN_SKIPPED = engine_module._FILTER_MIN_SKIPPED
+
+
+@pytest.fixture
+def force_count_filter(monkeypatch):
+    """force_count_filter(on) turns assign's count filter on for every k, or
+    off, and returns a list that gets, for each full-kernel pass of assign or
+    profiles, how many cluster columns it left out."""
+
+    def force(on):
+        monkeypatch.setattr(engine_module, "_FILTER_MIN_SKIPPED", 0 if on else math.inf)
+        pruned = []
+        score = ClusteringEngine._score
+
+        def spy(self, f, cents, *flags):
+            if f.size == self._n:
+                pruned.append(self.cluster_count - cents.shape[1])
+            return score(self, f, cents, *flags)
+
+        monkeypatch.setattr(ClusteringEngine, "_score", spy)
+        return pruned
+
+    return force
 
 
 class TestShouldMatch:
@@ -465,11 +491,73 @@ class TestOrderSensitivity:
         assert len(backward.clusters) == 1
 
 
+def random_case_streams():
+    rng = random.Random(99)
+    return [random_case(rng, rng.randint(1, 60)) for _ in range(25)]
+
+
+def n300_streams():
+    return [
+        (
+            strictness,
+            300,
+            anchored_points(
+                random.Random(300), 120, 300, n_anchors=4, spread=0.04, outlier_rate=0.1
+            ),
+        )
+        for strictness in (90.0, 50.0)
+    ]
+
+
+def extreme_streams():
+    # features past 1e306, where 100 * d overflows and the similarity
+    # divides first, mixed with ordinary ones; 40 points keep every
+    # feature sum below the largest float
+    rng = random.Random(307)
+    anchors = [[2e306, 3e305, 1.0], [4e306, 3e306, 2.0], [2.5e306, 1e306, 5.0]]
+    points = [[v * rng.uniform(0.97, 1.03) for v in rng.choice(anchors)] for _ in range(40)]
+    return [(90.0, 3, points)]
+
+
+def zero_heavy_streams(zero):
+    rng = random.Random(20)
+    streams = [
+        (60.0, 6, anchored_points(rng, 200, 6, n_anchors=6, zero_rate=0.2, outlier_rate=0.05)),
+        (75.0, 5, integer_points(rng, 200, 5, hi=4)),
+    ]
+    return [
+        (strictness, n, [[zero if v == 0.0 else v for v in p] for p in points])
+        for strictness, n, points in streams
+    ]
+
+
+# Streams for the differential test with the count filter forced on and off.
+FILTER_STREAMS = {
+    # the bench's wide shape: k passes the size where the filter runs unforced
+    "anchored-n100-s75": lambda: [
+        (
+            75.0,
+            100,
+            anchored_points(
+                random.Random(75), 300, 100, n_anchors=250, spread=0.15, outlier_rate=0.04
+            ),
+        )
+    ],
+    # need = n: the head is one row, and every survivor must match it
+    "s100": lambda: [
+        (100.0, n, integer_points(random.Random(n), 200, n, hi=2)) for n in (2, 3, 5)
+    ],
+    "random-cases": random_case_streams,
+    "n300": n300_streams,
+    "extreme-magnitudes": extreme_streams,
+    "zero-heavy": lambda: zero_heavy_streams(0.0),
+    "negative-zero-heavy": lambda: zero_heavy_streams(-0.0),
+}
+
+
 class TestAgainstNaiveReference:
     def test_small_streams_agree_exactly(self):
-        rng = random.Random(99)
-        for _ in range(25):
-            strictness, n, points = random_case(rng, rng.randint(1, 60))
+        for strictness, n, points in random_case_streams():
             state, outcomes = run_stream(Config(strictness, n), points)
             clusterer, results = naive_run(strictness, n, points)
             got = [(o.assigned_cluster_id, o.created_new, o.decision_path.value) for o in outcomes]
@@ -508,25 +596,17 @@ class TestAgainstNaiveReference:
     @pytest.mark.parametrize("strictness", [90.0, 50.0])
     def test_wide_points_need_a_wider_count_type(self, strictness):
         # n = 300: a matched count can pass 255, which a uint8 count would wrap
-        rng = random.Random(300)
-        points = anchored_points(rng, 120, 300, n_anchors=4, spread=0.04, outlier_rate=0.1)
-        state = self.assert_agrees(strictness, 300, points)
+        [(_, n, points)] = [w for w in n300_streams() if w[0] == strictness]
+        state = self.assert_agrees(strictness, n, points)
         assert len(state.clusters) > 1
         assert max(c.member_count for c in state.clusters) > 1
-        _, outcomes = run_stream(Config(strictness, 300), points)
+        _, outcomes = run_stream(Config(strictness, n), points)
         counts = [o.winner_profile.matched_count for o in outcomes if not o.created_new]
         assert max(counts) > 255
 
     def test_extreme_magnitudes_agree_exactly(self):
-        # features past 1e306, where 100 * d overflows and the similarity
-        # divides first, mixed with ordinary ones; 40 points keep every
-        # feature sum below the largest float
-        rng = random.Random(307)
-        anchors = [[2e306, 3e305, 1.0], [4e306, 3e306, 2.0], [2.5e306, 1e306, 5.0]]
-        points = [
-            [v * rng.uniform(0.97, 1.03) for v in rng.choice(anchors)] for _ in range(40)
-        ]
-        state = self.assert_agrees(90.0, 3, points)
+        [stream] = extreme_streams()
+        state = self.assert_agrees(*stream)
         assert 1 < len(state.clusters) < 20
 
     def test_zero_heavy_streams_agree_exactly(self):
@@ -536,17 +616,8 @@ class TestAgainstNaiveReference:
         self.assert_zero_heavy_streams_agree(-0.0)
 
     def assert_zero_heavy_streams_agree(self, zero):
-        rng = random.Random(20)
-        streams = [
-            (60.0, 6, anchored_points(rng, 200, 6, n_anchors=6, zero_rate=0.2, outlier_rate=0.05)),
-            (75.0, 5, integer_points(rng, 200, 5, hi=4)),
-        ]
-        streams = [
-            (strictness, n, [[zero if v == 0.0 else v for v in p] for p in points])
-            for strictness, n, points in streams
-        ]
         cases = set()  # (point value is zero, centroid value is zero) pairs met
-        for strictness, n, points in streams:
+        for strictness, n, points in zero_heavy_streams(zero):
             self.assert_agrees(strictness, n, points)
             naive = NaiveClusterer(strictness, n)
             for p in points:
@@ -554,3 +625,54 @@ class TestAgainstNaiveReference:
                     cases.update((d == 0.0, c == 0.0) for d, c in zip(p, cent))
                 naive.add(p)
         assert cases == {(False, False), (False, True), (True, False), (True, True)}
+
+    @pytest.mark.parametrize("on", [True, False], ids=["filter-on", "filter-off"])
+    @pytest.mark.parametrize("name", list(FILTER_STREAMS))
+    def test_count_filter_forced_agrees_exactly(self, name, on, force_count_filter):
+        # the filter drops only clusters that cannot qualify, so forced on at
+        # every k or off it must give the oracle's outcomes bit for bit
+        pruned = force_count_filter(on)
+        for strictness, n, points in FILTER_STREAMS[name]():
+            state = self.assert_agrees(strictness, n, points)
+            if name == "anchored-n100-s75":  # the filter runs here unforced
+                m = _head_rows(n, should_match_features(Config(strictness, n)))
+                assert m < n and (n - m) * len(state.clusters) >= FILTER_MIN_SKIPPED
+        if on:
+            assert max(pruned) > 0  # no case passes without pruning a column
+        else:
+            assert not any(pruned)
+
+
+class TestCountFilter:
+    @pytest.mark.parametrize("strictness", STRICTNESS_CHOICES)
+    def test_head_rows_leave_every_qualifier_a_match_or_switch_off(self, strictness):
+        for n in range(1, 301):
+            need = should_match_features(Config(strictness, n))
+            m = _head_rows(n, need)
+            assert m >= n or n - need < m < n
+
+    def test_forced_filter_keeps_tie_breaks_and_the_earliest_winner(self, force_count_filter):
+        # integer points of 0..2 tie often, many on the exact average too;
+        # the tied columns' indices must map back to the earliest cluster
+        pruned = force_count_filter(True)
+        eng = ClusteringEngine(Config(60.0, 6))
+        ties = exact_ties = 0
+        for p in integer_points(random.Random(11), 300, 6, hi=2):
+            before = eng.profiles(p)
+            outcome = eng.assign(p)
+            if outcome.created_new:
+                continue
+            win = outcome.winner_profile
+            assert win == before[outcome.assigned_cluster_id - 1]
+            if outcome.decision_path is DecisionPath.AVG_TIEBREAK:
+                ties += 1
+                best = [
+                    q.cluster_id
+                    for q in before
+                    if (q.matched_count, q.qualifying_avg) == (win.matched_count, win.qualifying_avg)
+                ]
+                assert outcome.assigned_cluster_id == best[0]
+                exact_ties += len(best) > 1
+        assert ties > 100
+        assert exact_ties > 0
+        assert max(pruned) > 0
