@@ -29,7 +29,6 @@ from .model import (
     Config,
     DataPoint,
     DecisionPath,
-    MatchProfile,
 )
 from .persistence import load_snapshot, save_snapshot
 
@@ -187,9 +186,12 @@ def _print_trace(
     engine: ClusteringEngine,
     dp: DataPoint,
     sims: np.ndarray,
-    profiles: tuple[MatchProfile, ...],
+    matched: np.ndarray,
+    avgs: np.ndarray,
     outcome: AssignmentOutcome,
 ) -> None:
+    """Print dp's table: its similarity cells, matched count and qualifying
+    average against each cluster, then the decision."""
     cfg = engine.config
     n = cfg.n_features
     lo, hi = qualifying_range(cfg.strictness)
@@ -202,16 +204,12 @@ def _print_trace(
         f"[trace] {tag}: band [{_fmt2(lo)}, {_fmt2(hi)}], "
         f"needs {engine.should_match} of {n}"
     ]
-    cells = _fmt2_array(sims)
-    avgs = _fmt2_array(
-        np.array([p.qualifying_avg for p in profiles], dtype=np.float64)
-    )
-    for i, profile in enumerate(profiles):
+    cells = _fmt2_array(np.concatenate((sims, avgs)))
+    avg_cells = cells[sims.size :]
+    for i, c in enumerate(matched.tolist()):
         row = " ".join(cells[i * n : (i + 1) * n])
-        extra = f"  matched {profile.matched_count}"
-        if profile.qualifying_avg is not None:
-            extra += f"  avg {avgs[i]}"
-        lines.append(f"[trace]   C{profile.cluster_id}: {row}{extra}")
+        extra = f"  matched {c}  avg {avg_cells[i]}" if c else "  matched 0"
+        lines.append(f"[trace]   C{i + 1}: {row}{extra}")
     lines.append(f"[trace]   -> {_decision_text(outcome)}\n")
     # one write per point: stderr is line-buffered, so print() per row is a
     # system call per row
@@ -240,14 +238,14 @@ def _cluster_stream(
         do_trace = args.trace and traced < TRACE_LIMIT
         # Tables must reflect the pre-insertion state, so compute them first.
         if do_trace:
-            sims, profiles = _sim_rows(engine, dp), engine.profiles(dp)
+            sims, (matched, avgs) = _sim_rows(engine, dp), engine._profile_arrays(dp)
         try:
             outcome = engine.assign(dp)
         except ClusteringError as err:
             err.line_number = stream.line_number
             raise
         if do_trace:
-            _print_trace(engine, dp, sims, profiles, outcome)
+            _print_trace(engine, dp, sims, matched, avgs, outcome)
             traced += 1
             if traced == TRACE_LIMIT:
                 _note(f"{PROG}: trace stopped after {TRACE_LIMIT} points\n")
@@ -339,7 +337,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     n = len(state.clusters)
     print(f"{n} cluster" + ("" if n == 1 else "s"))
     for c in state.clusters:
-        cent = " ".join(_fmt2(v) for v in c.centroid())
+        cent = " ".join(_fmt2_array(np.array(c.centroid(), dtype=np.float64)))
         print(f"C{c.id}: size {c.member_count}  centroid {cent}")
     return 0
 

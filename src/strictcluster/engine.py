@@ -115,7 +115,8 @@ def _qualifying_avg(sims: np.ndarray, band: np.ndarray, i: int) -> float:
     """Average of cluster i's in-band similarities, each v above 100 as 200 - v.
 
     A plain left-to-right sum in feature order: identical arithmetic to a
-    scalar loop over the features.
+    scalar loop over the features. :meth:`ClusteringEngine._profile_arrays`
+    computes the same for every cluster at once.
     """
     total = 0.0
     vals = sims[:, i][band[:, i]].tolist()
@@ -287,14 +288,32 @@ class ClusteringEngine:
         as it stands, and changes nothing. Assigning the same point then
         reports its winner's entry as ``winner_profile``.
         """
+        matched, avgs = self._profile_arrays(point)
+        return tuple(
+            MatchProfile(i + 1, c, a if c else None)
+            for i, (c, a) in enumerate(zip(matched.tolist(), avgs.tolist()))
+        )
+
+    def _profile_arrays(
+        self, point: DataPoint | Sequence[float]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Matched counts and qualifying averages of ``point``, one per cluster.
+
+        The averages are :func:`_qualifying_avg`'s bit for bit, nan where
+        nothing matched. Each in-band similarity is folded (out of band it
+        is 0.0), and np.add.accumulate adds the feature rows in order, so
+        every column's total is the scalar loop's left-to-right sum: adding
+        0.0 to a nonnegative total changes nothing. (np.add.reduce would sum
+        a lone column, k = 1, pairwise.)
+        """
         dp = self._coerce(point)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             f = np.asarray(dp.features, dtype=np.float64)
             sims, band, matched = self._score(f, self._cents, *_fixups(dp.features))
-        return tuple(
-            MatchProfile(i + 1, c, _qualifying_avg(sims, band, i) if c else None)
-            for i, c in enumerate(matched.tolist())
-        )
+            # min(v, 200 - v) is v up to 100 and 200 - v above it
+            folded = np.where(band, np.minimum(sims, 200.0 - sims), 0.0)
+            avgs = np.add.accumulate(folded, axis=0)[-1] / matched
+        return matched, avgs
 
     # -- internals ---------------------------------------------------------
 

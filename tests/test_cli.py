@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -26,9 +27,16 @@ from strictcluster import (
     feature_similarity,
     save_snapshot,
 )
-from strictcluster.cli import _assignment_record, _fmt2, _fmt2_array, _write_summary, main
+from strictcluster.cli import (
+    TRACE_LIMIT,
+    _assignment_record,
+    _fmt2,
+    _fmt2_array,
+    _write_summary,
+    main,
+)
 
-from generators import anchored_points
+from generators import anchored_points, throughput_points
 from golden import GOLDEN_CSV, GOLDEN_N_FEATURES, GOLDEN_POINTS, GOLDEN_STRICTNESS
 from reference import naive_profile
 
@@ -125,6 +133,54 @@ class TestRun:
         assert err.count("[trace] point ") == 1000
         assert "trace stopped after 1000 points" in err
         assert len(records_of(out)) == 1500
+
+    @pytest.mark.parametrize(
+        "points,want,row",
+        [
+            # C1 matches neither feature of the second point: its average is 0 / 0
+            pytest.param(
+                [[1.0, 1.0], [100.0, 100.0]], MatchProfile(1, 0, None),
+                "C1: 10000 10000  matched 0\n", id="no-match",
+            ),
+            # c = 0 < d: an undefined cell, where 200 - inf is computed and masked
+            pytest.param(
+                [[0.0, 1.0], [5.0, 1.0]], MatchProfile(1, 1, 100.0),
+                "C1: undef 100  matched 1  avg 100\n", id="undefined-cell",
+            ),
+        ],
+    )
+    def test_profiles_and_trace_warn_nothing(self, points, want, row, capsys, monkeypatch):
+        text = "".join(",".join(repr(v) for v in p) + "\n" for p in points)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+        eng = ClusteringEngine(Config(50.0, 2))
+        eng.assign(points[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            profiles = eng.profiles(points[1])
+            code = main(["run", "--strictness", "50", "--trace"])
+        _, err = capsys.readouterr()
+        assert profiles == (want,)
+        assert code == 0
+        assert f"[trace]   {row}" in err
+
+    def test_trace_changes_no_record_and_no_snapshot(self, tmp_path, capsys):
+        # tie-heavy, and longer than the trace, so untraced points follow traced ones
+        points = throughput_points(
+            random.Random(31), TRACE_LIMIT + 200, n_anchors=100, outlier_rate=0.04
+        )
+        data = tmp_path / "ties.csv"
+        data.write_text("".join(",".join(repr(v) for v in p) + "\n" for p in points))
+        written = {}
+        for flags in ((), ("--trace",)):
+            records, snap = tmp_path / f"out{len(flags)}.jsonl", tmp_path / f"s{len(flags)}.snap"
+            code = main(["run", "--strictness", "60", "--input", str(data), "--summary",
+                         "--output", str(records), "--snapshot-out", str(snap), *flags])
+            assert code == 0
+            written[flags] = records.read_bytes(), snap.read_bytes()
+        _, err = capsys.readouterr()
+        assert f"trace stopped after {TRACE_LIMIT} points" in err
+        assert written[("--trace",)] == written[()]
+        assert b'"decision_path":"AVG_TIEBREAK"' in written[()][0]
 
     def test_output_file_and_byte_identical_reruns(self, golden_csv, tmp_path):
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -379,6 +435,30 @@ class TestSnapshotCommands:
         out, _ = capsys.readouterr()
         assert code == 0
         assert "C1: size 1  centroid 1e+306 1e+16 9999999999999998 0.5\n" in out
+
+    def test_inspect_prints_each_centroid_value_as_fmt2_does(self, tmp_path, capsys):
+        # -0.0, half hundredths and the floats either side of them, and values
+        # from 1e16 up; cluster 2's centroid is its sums divided by 3
+        halves = [0.125, 0.375, 1.005, 2.675, 0.045, 12345.675]
+        near = [float(np.nextafter(h, to)) for h in halves for to in (0.0, np.inf)]
+        sums = (-0.0, *halves, *near, 1e16, 2.5e17, 1e300)
+        state = ClusterState(
+            Config(60.0, len(sums)),
+            (Cluster(1, 1, sums, (0,)), Cluster(2, 3, tuple(3.0 * v for v in sums), (1, 2, 3))),
+            4,
+        )
+        snap = tmp_path / "edges.snap"
+        save_snapshot(state, snap)
+        code = main(["inspect", "--snapshot-in", str(snap)])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        rows = out.splitlines()[4:]
+        assert rows == [
+            f"C{c.id}: size {c.member_count}  centroid {' '.join(_fmt2(v) for v in c.centroid())}"
+            for c in state.clusters
+        ]
+        assert rows[0].split("centroid ")[1].split()[:5] == ["-0", "0.12", "0.38", "1", "2.67"]
+        assert rows[0].endswith(" 1e+16 2.5e+17 1e+300")
 
     def test_resume_matches_uninterrupted_run(self, golden_csv, tmp_path, capsys):
         lines = GOLDEN_CSV.splitlines(keepends=True)

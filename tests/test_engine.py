@@ -30,7 +30,7 @@ from strictcluster import (
     verify_state,
 )
 from strictcluster import engine as engine_module
-from strictcluster.engine import _head_rows
+from strictcluster.engine import _fixups, _head_rows, _qualifying_avg
 
 from generators import (
     STRICTNESS_CHOICES,
@@ -389,6 +389,16 @@ def profiled_run(config, points):
     return eng.state(), outcomes, profiles
 
 
+def kernel_avgs(eng, features):
+    """_qualifying_avg of every cluster that matches, from the kernel's matrices."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = np.asarray(features, dtype=np.float64)
+        sims, band, matched = eng._score(f, eng._cents, *_fixups(features))
+    return [
+        _qualifying_avg(sims, band, i) if c else None for i, c in enumerate(matched.tolist())
+    ]
+
+
 class TestProfileRecording:
     """assign reports the winner's profile; profiles() reports every cluster's."""
 
@@ -431,11 +441,12 @@ class TestProfileRecording:
         assert all(type(p.matched_count) is int for p in profiles)
 
     @pytest.mark.parametrize(
-        "strictness,n,make",
+        "strictness,n,make,ties",
         [
             pytest.param(
                 60.0, 10,
                 lambda rng: throughput_points(rng, 300, n_anchors=100, outlier_rate=0.04),
+                True,
                 id="tie-heavy-n10",
             ),
             pytest.param(
@@ -443,16 +454,36 @@ class TestProfileRecording:
                 lambda rng: anchored_points(
                     rng, 300, 8, n_anchors=40, zero_rate=0.2, outlier_rate=0.05
                 ),
+                True,
                 id="zero-heavy-n8",
             ),
             pytest.param(
-                75.0, 5, lambda rng: integer_points(rng, 300, 5, hi=4), id="integer-n5"
+                75.0, 5, lambda rng: integer_points(rng, 300, 5, hi=4), True, id="integer-n5"
+            ),
+            # k stays 1, where a reduction of the one column would sum pairwise
+            pytest.param(
+                50.0, 10,
+                lambda rng: anchored_points(rng, 200, 10, n_anchors=1, spread=0.3),
+                False,
+                id="one-cluster-n10",
+            ),
+            # rows where 100 * d overflows and the similarity divides first
+            pytest.param(
+                90.0, 3, lambda rng: extreme_streams()[0][2], False, id="extreme-magnitudes-n3"
+            ),
+            pytest.param(
+                60.0, 6, lambda rng: zero_heavy_streams(-0.0)[0][2], False,
+                id="negative-zero-heavy-n6",
+            ),
+            # need = n: only an exact copy of a centroid matches
+            pytest.param(
+                100.0, 3, lambda rng: integer_points(rng, 200, 3, hi=2), False, id="s100-n3"
             ),
         ],
     )
-    def test_profiles_equal_the_scalar_match_profile(self, strictness, n, make):
+    def test_profiles_equal_the_scalar_match_profile(self, strictness, n, make, ties):
         # every cluster's profile of one point must be the scalar
-        # reference's, qualifying_avg bit for bit
+        # reference's and _qualifying_avg's, qualifying_avg bit for bit
         eng = ClusteringEngine(Config(strictness, n))
         lo, hi = strictness, 200.0 - strictness
         tiebreaks = pairwise_differs = 0
@@ -463,7 +494,14 @@ class TestProfileRecording:
                 MatchProfile(cid, *naive_profile(dp.features, cent, strictness))
                 for cid, cent in enumerate(centroids, start=1)
             )
-            assert eng.profiles(dp) == want
+            got = eng.profiles(dp)
+            assert got == want
+            assert [prof.qualifying_avg for prof in got] == kernel_avgs(eng, dp.features)
+            # == cannot tell a numpy scalar from a float
+            assert all(
+                type(prof.qualifying_avg) is (float if prof.matched_count else type(None))
+                for prof in got
+            )
             outcome = eng.assign(dp)
             tiebreaks += outcome.decision_path is DecisionPath.AVG_TIEBREAK
             for cent in centroids:
@@ -475,7 +513,8 @@ class TestProfileRecording:
                 for v in folded:
                     total += v
                 pairwise_differs += float(np.sum(folded)) != total
-        assert tiebreaks > 0
+        if ties:
+            assert tiebreaks > 0
         if n >= 8:  # numpy sums 8 or more values pairwise
             assert pairwise_differs > 0
 
