@@ -384,6 +384,30 @@ class TestRun:
         assert os.stat(node).st_mode == kind
         assert list(tmp_path.iterdir()) == [node]  # no temp file either
 
+    @pytest.mark.parametrize("parent_is_file", [False, True], ids=["missing", "a-file"])
+    def test_a_snapshot_out_in_no_directory_is_refused_before_the_run(
+        self, golden_csv, tmp_path, capsys, parent_is_file
+    ):
+        # the save's temp file would fail only after every record was written
+        parent = tmp_path / "nodir"
+        if parent_is_file:
+            parent.write_text("kept")
+        records = tmp_path / "out.jsonl"
+        snap = parent / "x.snap"
+        code = main(["run", "--strictness", "60", "--input", str(golden_csv),
+                     "--output", str(records), "--snapshot-out", str(snap)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert (out, err) == ("", (
+            f"strictcluster: error: --snapshot-out {snap}: {parent} is not an "
+            "existing directory; the snapshot could not be written\n"
+        ))
+        assert ".tmp" not in err
+        assert not records.exists()
+        assert sorted(tmp_path.iterdir()) == sorted(
+            [golden_csv, *([parent] if parent_is_file else [])]
+        )
+
     def test_unwritable_output(self, golden_csv, tmp_path, capsys):
         code = main(
             ["run", "--strictness", "60", "--input", str(golden_csv),

@@ -3,9 +3,13 @@
 import dataclasses
 import hashlib
 import json
+import os
 import random
 import re
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +172,64 @@ def test_resume_through_snapshot_continues_bit_exactly(tmp_path):
         for p in points[cut:]:
             eng.assign(p)
         assert eng.state() == full
+
+
+def run_child(code, *args):
+    """Run ``code`` in a fresh interpreter that imports the package and the
+    test helpers; its stdout."""
+    here = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": f"{here.parent / 'src'}{os.pathsep}{here}"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# _hashlib maps OpenSSL's libcrypto; numpy.random imports secrets, whose hmac
+# imports _hashlib
+OPENSSL_MODULES = ("_hashlib", "numpy.random")
+
+
+def test_a_cli_process_never_loads_openssl(golden_csv, tmp_path):
+    bare = run_child(
+        "import sys, numpy; print(sorted(set(sys.argv[1:]) & set(sys.modules)))",
+        *OPENSSL_MODULES,
+    )
+    if bare != "[]\n":  # numpy 1.x imports numpy.random
+        pytest.skip(f"import numpy alone loads {bare.strip()}")
+    out = run_child("""
+import os, sys
+from strictcluster.cli import main
+data, snap, *names = sys.argv[1:]
+files = ["--input", data, "--output", os.devnull, "--snapshot-out", snap]
+assert main(["run", "--strictness", "60", *files]) == 0
+assert main(["resume", "--snapshot-in", snap, *files]) == 0
+assert main(["inspect", "--snapshot-in", snap]) == 0
+print(sorted(set(names) & set(sys.modules)))
+""", golden_csv, tmp_path / "state.snap", *OPENSSL_MODULES)
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_the_hashlib_fallback_writes_the_same_bytes(golden_state, tmp_path):
+    # an interpreter built without its own SHA-256 module
+    path = tmp_path / "state.snap"
+    run_child("""
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+from strictcluster import Config, load_snapshot, persistence, run_stream, save_snapshot
+from golden import GOLDEN_N_FEATURES, GOLDEN_POINTS, GOLDEN_STRICTNESS
+assert persistence.sha256 is hashlib.sha256
+state, _ = run_stream(Config(GOLDEN_STRICTNESS, GOLDEN_N_FEATURES), GOLDEN_POINTS)
+save_snapshot(state, sys.argv[1])
+assert load_snapshot(sys.argv[1]) == state
+""", path)
+    assert path.read_bytes() == one_shot_snapshot(golden_state)
+    assert load_snapshot(path) == golden_state
 
 
 def test_save_replaces_existing_file_and_leaves_no_leftovers(golden_state, tmp_path):
