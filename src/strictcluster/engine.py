@@ -78,14 +78,26 @@ def qualifying_range(strictness: float) -> tuple[float, float]:
     return strictness, 200.0 - strictness
 
 
+def _decimal_ratio(value: float) -> tuple[int, int]:
+    """The shortest decimal that reads back as ``value``, the digits repr
+    prints, as an integer ratio p / q: 0.07 is 7 / 100, 5e-324 is 5 / 10**324.
+
+    For a value below 1e16, whose repr has no positive exponent.
+    """
+    mantissa, _, exponent = repr(value).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    return int(whole + fraction), 10 ** (len(fraction) - int(exponent or 0))
+
+
 def should_match_features(config: Config) -> int:
     """Minimum number of qualifying features a cluster needs: ceil(n * s / 100).
 
-    Computed exactly in integers, from the float's own ratio p / q, so a
-    strictness like 0.07 cannot push a float product such as
-    7.000000000000001 past the next integer.
+    s is read as the decimal it is written as (see :func:`_decimal_ratio`),
+    not as the float's binary value, which for 0.07 lies just above 0.07 and
+    would make ``Config(0.07, 10_000)`` need 8 instead of 7. The ceiling is
+    computed exactly in integers, so no float rounding decides it.
     """
-    p, q = config.strictness.as_integer_ratio()
+    p, q = _decimal_ratio(config.strictness)
     return -((-p * config.n_features) // (100 * q))
 
 

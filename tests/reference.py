@@ -11,6 +11,7 @@ matching results can be asserted bit-for-bit, not just approximately.
 """
 
 import math
+from fractions import Fraction
 
 
 def naive_similarity(value, centroid_value):
@@ -41,7 +42,8 @@ def naive_profile(point, centroid, strictness):
 
 
 def naive_should_match(strictness, n_features):
-    return math.ceil(n_features * strictness / 100.0)
+    """ceil(n * s / 100) with s read as the decimal that repr prints."""
+    return math.ceil(Fraction(repr(float(strictness))) * n_features / 100)
 
 
 class NaiveClusterer:

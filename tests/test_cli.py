@@ -1,5 +1,6 @@
 """End-to-end CLI tests: run, resume, inspect, exit codes, output shape."""
 
+import gc
 import io
 import json
 import os
@@ -27,9 +28,11 @@ from strictcluster import (
     feature_similarity,
     save_snapshot,
 )
+from strictcluster import cli
 from strictcluster.cli import (
     TRACE_LIMIT,
     _assignment_record,
+    _exact,
     _fmt2,
     _fmt2_array,
     _write_summary,
@@ -106,6 +109,13 @@ class TestRun:
         assert "matched 8  avg 93.63" in err
         assert "joins C3 (matched-count tie, best qualifying average 93.63)" in err
         assert "joins C1 (only qualifying cluster)" in err
+
+    def test_trace_prints_the_band_exactly(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"1,2\n")))
+        code = main(["run", "--strictness", "99.996", "--trace"])
+        _, err = capsys.readouterr()
+        assert code == 0
+        assert "[trace] point 0: band [99.996, 100.004], needs 2 of 2" in err
 
     def test_identical_points_past_1e306_share_a_cluster(self, capsys, monkeypatch):
         # 100 * 1e307 overflows, so the similarity divides first: 100 * (1 / 1)
@@ -439,6 +449,14 @@ class TestSnapshotCommands:
         assert lines[3] == "3 clusters"
         assert C2_ROW in lines
 
+    def test_inspect_prints_the_strictness_exactly(self, tmp_path, capsys):
+        snap = tmp_path / "fine.snap"
+        save_snapshot(ClusteringEngine(Config(0.004, 3)).state(), snap)
+        code = main(["inspect", "--snapshot-in", str(snap)])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        assert out.splitlines()[0] == "strictness: 0.004"
+
     def test_inspect_empty_state(self, tmp_path, capsys):
         from strictcluster import ClusteringEngine, Config, save_snapshot
 
@@ -768,7 +786,7 @@ def render_trace(points, config):
     """The --trace stderr of a run, from feature_similarity and naive_profile."""
     eng = ClusteringEngine(config)
     lines, cells = [], {"undef": 0, "0/0": 0}
-    band = f"[{_fmt2(config.strictness)}, {_fmt2(200.0 - config.strictness)}]"
+    band = f"[{_exact(config.strictness)}, {_exact(200.0 - config.strictness)}]"
     for seq, p in enumerate(points):
         dp = DataPoint(tuple(p))
         lines.append(
@@ -951,6 +969,9 @@ class TestSubprocess:
     def test_console_script_if_installed(self, golden_csv):
         exe = shutil.which("strictcluster")
         if exe is None:
+            if os.environ.get("GITHUB_ACTIONS"):
+                # CI installs the package, so the script must run in every job
+                pytest.fail("console script not on PATH, though CI installs the package")
             pytest.skip("console script not on PATH")
         proc = subprocess.run(
             [exe, "run", "--strictness", "60", "--input", str(golden_csv)],
@@ -960,3 +981,39 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
         assert len(records_of(proc.stdout)) == 6
+
+
+class TestProcessEntry:
+    @pytest.fixture
+    def unfreeze(self):
+        yield
+        gc.unfreeze()  # leave this process's collector as it was
+
+    def test_freezes_before_main_and_passes_its_exit_code(self, monkeypatch, unfreeze):
+        before = gc.get_freeze_count()
+        seen = []
+
+        def fake_main():
+            seen.append(gc.get_freeze_count())
+            return 7
+
+        monkeypatch.setattr(cli, "main", fake_main)
+        assert cli.process_main() == 7
+        assert len(seen) == 1 and seen[0] > before
+
+    def test_main_in_process_freezes_nothing(self, golden_csv, tmp_path):
+        before = gc.get_freeze_count()
+        code = main(["run", "--strictness", "60", "--input", str(golden_csv),
+                     "--output", str(tmp_path / "out.jsonl")])
+        assert code == 0
+        assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [(60.0, "60"), (140.0, "140"), (0.004, "0.004"), (200.0 - 99.996, "100.004"),
+     (1e-05, "1e-05"), (5e-324, "5e-324"), (33.333333333333336, "33.333333333333336")],
+)
+def test_exact_prints_the_shortest_text_that_reads_back(value, text):
+    assert _exact(value) == text
+    assert float(text) == value

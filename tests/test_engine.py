@@ -112,11 +112,12 @@ class TestShouldMatch:
         assert should_match_features(Config(float(s), n)) == naive_should_match(float(s), n)
 
     @pytest.mark.parametrize(
-        "strictness", [0.07, 5e-324, 33.333333333333336, 99.99999999999999, 100.0, 0.1, 60.0]
+        "strictness",
+        [0.07, 5e-324, 1e-05, 33.333333333333336, 99.99999999999999, 100.0, 0.1, 60.0],
     )
     def test_equals_the_exact_rational_ceil(self, strictness):
         for n in (1, 2, 3, 7, 99, 100, 101, 1000, 12_345, 999_999, 10**6):
-            want = math.ceil(Fraction(strictness) * n / 100)
+            want = math.ceil(Fraction(repr(strictness)) * n / 100)
             assert should_match_features(Config(strictness, n)) == want, n
 
     @given(
@@ -124,7 +125,19 @@ class TestShouldMatch:
         st.integers(1, 10**6),
     )
     def test_equals_the_exact_rational_ceil_on_any_strictness(self, s, n):
-        assert should_match_features(Config(s, n)) == math.ceil(Fraction(s) * n / 100)
+        want = math.ceil(Fraction(repr(s)) * n / 100)
+        assert should_match_features(Config(s, n)) == want
+
+    @pytest.mark.parametrize(
+        "strictness,n,expected",
+        # each float lies just above its decimal, so its binary value needs 8 or 2
+        [(0.07, 10_000, 7), (0.8, 125, 1), (0.4, 250, 1), (0.1, 1000, 1)],
+    )
+    def test_reads_the_strictness_as_the_decimal_it_is_written_as(
+        self, strictness, n, expected
+    ):
+        assert math.ceil(Fraction(strictness) * n / 100) == expected + 1
+        assert should_match_features(Config(strictness, n)) == expected
 
     def test_starting_the_cli_imports_neither_fractions_nor_decimal(self):
         src = Path(__file__).resolve().parent.parent / "src"
