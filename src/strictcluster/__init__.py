@@ -39,7 +39,6 @@ from .model import (
     Config,
     DataPoint,
     DecisionPath,
-    MatchProfile,
     validate_point,
     verify_state,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "DimensionMismatch",
     "FeatureSumOverflow",
     "InvariantViolation",
-    "MatchProfile",
     "NegativeFeature",
     "NonFiniteFeature",
     "ParseError",

@@ -136,12 +136,12 @@ def _diagnostic(err: BaseException) -> str:
 
 def _assignment_record(dp: DataPoint, outcome: AssignmentOutcome) -> str:
     """The record json.dumps(..., separators=(",", ":")) gives, built directly."""
-    wp = outcome.winner_profile
+    matched = outcome.matched_count
     return (
         f'{{"kind":"assignment","seq":{outcome.point_seq},'
         f'"cluster_id":{outcome.assigned_cluster_id},'
         f'"created_new":{"true" if outcome.created_new else "false"},'
-        f'"matched_count":{"null" if wp is None else wp.matched_count},'
+        f'"matched_count":{"null" if matched is None else matched},'
         f'"decision_path":"{outcome.decision_path.value}",'
         f'"label":{"null" if dp.label is None else json.dumps(dp.label)}}}'
     )
@@ -186,8 +186,8 @@ def _decision_text(outcome: AssignmentOutcome) -> str:
         return f"joins C{cid} (only qualifying cluster)"
     if path is DecisionPath.MAX_MATCHED:
         return f"joins C{cid} (most matched features)"
-    avg = outcome.winner_profile.qualifying_avg
-    return f"joins C{cid} (matched-count tie, best qualifying average {_fmt2(avg)})"
+    avg = _fmt2(outcome.qualifying_avg)
+    return f"joins C{cid} (matched-count tie, best qualifying average {avg})"
 
 
 def _print_trace(
@@ -246,7 +246,7 @@ def _cluster_stream(
         do_trace = args.trace and traced < TRACE_LIMIT
         # Tables must reflect the pre-insertion state, so compute them first.
         if do_trace:
-            sims, (matched, avgs) = _sim_rows(engine, dp), engine._profile_arrays(dp)
+            sims, (matched, avgs) = _sim_rows(engine, dp), engine.profiles(dp)
         try:
             outcome = engine.assign(dp)
         except ClusteringError as err:

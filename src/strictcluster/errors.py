@@ -6,11 +6,15 @@ from __future__ import annotations
 class ClusteringError(Exception):
     """Base class for every error raised by this package.
 
-    ``line_number`` is filled in by the ingestion layer when the error was
-    triggered by a specific input line; it stays ``None`` otherwise.
+    ``line_number`` is the input line that triggered the error, set by
+    :class:`~strictcluster.ingestion.PointStream` or, for an error in
+    assigning that line's point, by the CLI. ``point_seq`` is the 0-based
+    stream position of the point :func:`~strictcluster.engine.run_stream`
+    was assigning. Each stays ``None`` otherwise.
     """
 
     line_number: int | None = None
+    point_seq: int | None = None
 
 
 class StrictnessOutOfRange(ClusteringError):

@@ -127,29 +127,20 @@ class DecisionPath(enum.Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class MatchProfile:
-    """Per-(point, cluster) evaluation: matched-feature count and the mean
-    of the scaled qualifying similarities (None when nothing matched)."""
-
-    cluster_id: int
-    matched_count: int
-    qualifying_avg: float | None
-
-
-@dataclass(frozen=True, slots=True)
 class AssignmentOutcome:
     """Result of assigning one point.
 
-    ``winner_profile`` is present for joins (it reflects the receiving
-    cluster as it stood before the point joined) and None when a new
-    cluster was created.
+    For a join, ``matched_count`` and ``qualifying_avg`` are how the point
+    scored against the receiving cluster as it stood before the point
+    joined; both are None when a new cluster was created.
     """
 
     point_seq: int
     assigned_cluster_id: int
     created_new: bool
     decision_path: DecisionPath
-    winner_profile: MatchProfile | None = None
+    matched_count: int | None = None
+    qualifying_avg: float | None = None
 
 
 def verify_state(

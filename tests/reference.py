@@ -41,6 +41,13 @@ def naive_profile(point, centroid, strictness):
     return matched, (total / matched if matched else None)
 
 
+def profile_pairs(matched, avgs):
+    """ClusteringEngine.profiles' two arrays as naive_profile's pairs, one
+    per cluster: (matched count, average), Python ints and floats, with None
+    for the average where nothing matched."""
+    return [(c, a if c else None) for c, a in zip(matched.tolist(), avgs.tolist())]
+
+
 def naive_should_match(strictness, n_features):
     """ceil(n * s / 100) with s read as the decimal that repr prints."""
     return math.ceil(Fraction(repr(float(strictness))) * n_features / 100)

@@ -34,7 +34,7 @@ from golden import (
     GOLDEN_TABLES,
     cents,
 )
-from reference import naive_run
+from reference import naive_run, profile_pairs
 
 GOLDEN_CONFIG = Config(GOLDEN_STRICTNESS, GOLDEN_N_FEATURES)
 
@@ -88,12 +88,12 @@ def test_criterion_3_tiebreak_numerics(capsys):
         eng = ClusteringEngine(GOLDEN_CONFIG)
         for point in GOLDEN_POINTS[:4]:
             eng.assign(point)
-        profiles = {p.cluster_id: p for p in eng.profiles(GOLDEN_POINTS[4])}
+        (matched1, avg1), _, (matched3, avg3) = profile_pairs(*eng.profiles(GOLDEN_POINTS[4]))
         outcome = eng.assign(GOLDEN_POINTS[4])
-        assert profiles[1].matched_count == 8
-        assert profiles[3].matched_count == 8
-        assert abs(profiles[1].qualifying_avg - 87.87) <= 0.01
-        assert abs(profiles[3].qualifying_avg - 93.63) <= 0.01
+        assert matched1 == 8
+        assert matched3 == 8
+        assert abs(avg1 - 87.87) <= 0.01
+        assert abs(avg3 - 93.63) <= 0.01
         assert outcome.assigned_cluster_id == 3
         assert outcome.decision_path is DecisionPath.AVG_TIEBREAK
         assert not outcome.created_new
@@ -129,8 +129,7 @@ def _scaling_equivariance(n_streams):
         eng_b = ClusteringEngine(Config(strictness, n))
         for p, q in zip(points, scaled):
             prof_a, prof_b = eng_a.profiles(p), eng_b.profiles(q)
-            assert [a.matched_count for a in prof_a] == [b.matched_count for b in prof_b]
-            assert [a.qualifying_avg for a in prof_a] == [b.qualifying_avg for b in prof_b]
+            assert profile_pairs(*prof_a) == profile_pairs(*prof_b)
             out_a, out_b = eng_a.assign(p), eng_b.assign(q)
             assert (out_a.assigned_cluster_id, out_a.created_new, out_a.decision_path) == (
                 out_b.assigned_cluster_id,
@@ -158,7 +157,7 @@ def _oracle_equivalence(n_long, n_short):
         assert got == [(cid, created, path) for cid, created, path, _ in results]
         for outcome, (_, created, _, matched) in zip(outcomes, results):
             if not created:
-                assert outcome.winner_profile.matched_count == matched
+                assert outcome.matched_count == matched
         assert [list(c.member_seqs) for c in state.clusters] == clusterer.members
         for cluster in state.clusters:
             # bit-for-bit, not approximately: same summation order by design

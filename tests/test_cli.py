@@ -24,7 +24,6 @@ from strictcluster import (
     Config,
     DataPoint,
     DecisionPath,
-    MatchProfile,
     feature_similarity,
     save_snapshot,
 )
@@ -41,7 +40,7 @@ from strictcluster.cli import (
 
 from generators import anchored_points, throughput_points
 from golden import GOLDEN_CSV, GOLDEN_N_FEATURES, GOLDEN_POINTS, GOLDEN_STRICTNESS
-from reference import naive_profile
+from reference import naive_profile, profile_pairs
 
 EXPECTED_CIDS = [1, 2, 1, 3, 3, 2]
 EXPECTED_CREATED = [True, True, False, True, False, False]
@@ -144,17 +143,37 @@ class TestRun:
         assert "trace stopped after 1000 points" in err
         assert len(records_of(out)) == 1500
 
+    @pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
+    def test_only_traced_points_score_every_cluster(self, trace, tmp_path, capsys, monkeypatch):
+        # profiles() scores a point against every cluster a second time;
+        # a run pays for it only on the points it traces
+        calls = []
+        profiles = ClusteringEngine.profiles
+
+        def spy(self, point):
+            calls.append(point)
+            return profiles(self, point)
+
+        monkeypatch.setattr(ClusteringEngine, "profiles", spy)
+        data = tmp_path / "many.csv"
+        data.write_text("7\n" * 1500)
+        code = main(["run", "--strictness", "60", "--input", str(data)] + ["--trace"] * trace)
+        out, _ = capsys.readouterr()
+        assert code == 0
+        assert len(records_of(out)) == 1500
+        assert len(calls) == (TRACE_LIMIT if trace else 0)
+
     @pytest.mark.parametrize(
         "points,want,row",
         [
             # C1 matches neither feature of the second point: its average is 0 / 0
             pytest.param(
-                [[1.0, 1.0], [100.0, 100.0]], MatchProfile(1, 0, None),
+                [[1.0, 1.0], [100.0, 100.0]], (0, None),
                 "C1: 10000 10000  matched 0\n", id="no-match",
             ),
             # c = 0 < d: an undefined cell, where 200 - inf is computed and masked
             pytest.param(
-                [[0.0, 1.0], [5.0, 1.0]], MatchProfile(1, 1, 100.0),
+                [[0.0, 1.0], [5.0, 1.0]], (1, 100.0),
                 "C1: undef 100  matched 1  avg 100\n", id="undefined-cell",
             ),
         ],
@@ -169,7 +188,7 @@ class TestRun:
             profiles = eng.profiles(points[1])
             code = main(["run", "--strictness", "50", "--trace"])
         _, err = capsys.readouterr()
-        assert profiles == (want,)
+        assert profile_pairs(*profiles) == [want]
         assert code == 0
         assert f"[trace]   {row}" in err
 
@@ -661,7 +680,8 @@ class TestRendering:
             assigned_cluster_id=cid,
             created_new=created,
             decision_path=path,
-            winner_profile=None if created else MatchProfile(cid, matched, 90.0),
+            matched_count=matched,
+            qualifying_avg=None if created else 90.0,
         )
         rec = {
             "kind": "assignment",

@@ -23,7 +23,6 @@ from strictcluster import (
     DecisionPath,
     DimensionMismatch,
     FeatureSumOverflow,
-    MatchProfile,
     NegativeFeature,
     run_stream,
     should_match_features,
@@ -56,6 +55,7 @@ from reference import (
     naive_run,
     naive_should_match,
     naive_similarity,
+    profile_pairs,
 )
 
 GOLDEN_CONFIG = Config(GOLDEN_STRICTNESS, GOLDEN_N_FEATURES)
@@ -160,20 +160,19 @@ class TestGoldenTrace:
         eng = ClusteringEngine(GOLDEN_CONFIG)
         assert eng.should_match == 6
         for seq, point in enumerate(GOLDEN_POINTS):
-            profiles = eng.profiles(point)
+            profiles = profile_pairs(*eng.profiles(point))
             outcome = eng.assign(point)
             cid, created, path = GOLDEN_ASSIGNMENTS[seq]
             assert outcome.point_seq == seq
             assert outcome.assigned_cluster_id == cid
             assert outcome.created_new is created
             assert outcome.decision_path.value == path
-            matched = {p.cluster_id: p.matched_count for p in profiles}
+            matched = {i: c for i, (c, _) in enumerate(profiles, start=1)}
             assert matched == GOLDEN_MATCHED[seq]
             if seq == 4:
-                by_id = {p.cluster_id: p for p in profiles}
                 for cid_, want in GOLDEN_TIEBREAK_AVGS.items():
-                    assert round(by_id[cid_].qualifying_avg, 2) == want
-                assert outcome.winner_profile.matched_count == 8
+                    assert round(profiles[cid_ - 1][1], 2) == want
+                assert outcome.matched_count == 8
 
         state = eng.state()
         assert len(state.clusters) == 3
@@ -194,12 +193,13 @@ class TestGoldenTrace:
 class TestDispatchBranches:
     def test_first_point_founds_cluster_one(self):
         eng = ClusteringEngine(Config(60.0, 2))
-        assert eng.profiles([4.0, 9.0]) == ()
+        assert profile_pairs(*eng.profiles([4.0, 9.0])) == []
         outcome = eng.assign([4.0, 9.0])
         assert outcome.assigned_cluster_id == 1
         assert outcome.created_new
         assert outcome.decision_path.value == "EMPTY_LIST_NEW_CLUSTER"
-        assert outcome.winner_profile is None
+        assert outcome.matched_count is None
+        assert outcome.qualifying_avg is None
 
     def test_max_matched_beats_fewer_matches(self):
         state = ClusterState(
@@ -212,9 +212,9 @@ class TestDispatchBranches:
         )
         eng = ClusteringEngine.from_state(state)
         # both qualify (need 2), but cluster 1 matches on all three features
-        matched = {p.cluster_id: p.matched_count for p in eng.profiles([10.0, 10.0, 14.0])}
+        matched, _ = eng.profiles([10.0, 10.0, 14.0])
         outcome = eng.assign([10.0, 10.0, 14.0])
-        assert matched == {1: 3, 2: 2}
+        assert matched.tolist() == [3, 2]
         assert outcome.decision_path.value == "MAX_MATCHED"
         assert outcome.assigned_cluster_id == 1
         assert not outcome.created_new
@@ -225,10 +225,10 @@ class TestDispatchBranches:
         assert eng.assign([40.0, 10.0]).created_new  # 400/25 vs C1: no match
         # against C1 sims are (200, 50), against C2 (50, 200): matched one
         # each, scaled average 50 each, so the earlier cluster keeps it
-        profiles = {p.cluster_id: p for p in eng.profiles([20.0, 20.0])}
+        (matched1, avg1), (matched2, avg2) = profile_pairs(*eng.profiles([20.0, 20.0]))
         outcome = eng.assign([20.0, 20.0])
-        assert profiles[1].matched_count == profiles[2].matched_count == 1
-        assert profiles[1].qualifying_avg == profiles[2].qualifying_avg == 50.0
+        assert matched1 == matched2 == 1
+        assert avg1 == avg2 == 50.0
         assert outcome.decision_path.value == "AVG_TIEBREAK"
         assert outcome.assigned_cluster_id == 1
 
@@ -245,7 +245,7 @@ class TestDispatchBranches:
         eng.assign([0.0, 10.0])
         outcome = eng.assign([3.0, 10.0])
         assert not outcome.created_new  # need 1, the second feature matches
-        assert outcome.winner_profile.matched_count == 1
+        assert outcome.matched_count == 1
 
 
 class TestExactness:
@@ -259,7 +259,7 @@ class TestExactness:
             assert len(state.clusters) == 1
             assert state.clusters[0].member_count == copies
             for outcome in outcomes[1:]:
-                assert outcome.winner_profile.matched_count == n
+                assert outcome.matched_count == n
 
     def test_cached_centroids_match_derived_ones_bitwise(self):
         rng = random.Random(21)
@@ -326,14 +326,14 @@ class TestStreamDiscipline:
             warnings.simplefilter("error")
             outcome = eng.assign([1e307, 1.0])
         assert outcome.assigned_cluster_id == 1
-        assert outcome.winner_profile.matched_count == 1
+        assert outcome.matched_count == 1
 
 
     def test_identical_points_past_1e306_share_a_cluster(self):
         points = [[1e307, 1.0], [1e307, 1.0]]
         _, outcomes = run_stream(Config(90.0, 2), points)
         assert [(o.assigned_cluster_id, o.created_new) for o in outcomes] == [(1, True), (1, False)]
-        assert outcomes[1].winner_profile == MatchProfile(1, 2, 100.0)
+        assert (outcomes[1].matched_count, outcomes[1].qualifying_avg) == (2, 100.0)
         _, results = naive_run(90.0, 2, points)
         assert results == [
             (1, True, "EMPTY_LIST_NEW_CLUSTER", None), (1, False, "SINGLE_QUALIFIED", 2)
@@ -393,11 +393,12 @@ class TestStateRoundTrip:
 
 
 def profiled_run(config, points):
-    """run_stream, plus each point's profiles() taken just before its assign."""
+    """run_stream, plus each point's profiles() taken just before its assign,
+    as profile_pairs."""
     eng = ClusteringEngine(config)
     outcomes, profiles = [], []
     for p in points:
-        profiles.append(eng.profiles(p))
+        profiles.append(profile_pairs(*eng.profiles(p)))
         outcomes.append(eng.assign(p))
     return eng.state(), outcomes, profiles
 
@@ -413,23 +414,25 @@ def kernel_avgs(eng, features):
 
 
 class TestProfileRecording:
-    """assign reports the winner's profile; profiles() reports every cluster's."""
+    """assign reports the winner's count and average; profiles() reports
+    every cluster's."""
 
     def assert_winners_are_profiled(self, outcomes, profiles):
         for outcome, before in zip(outcomes, profiles):
+            got = (outcome.matched_count, outcome.qualifying_avg)
             if outcome.created_new:
-                assert outcome.winner_profile is None
+                assert got == (None, None)
             else:
-                assert outcome.winner_profile == before[outcome.assigned_cluster_id - 1]
+                assert got == before[outcome.assigned_cluster_id - 1]
 
-    def test_opt_out_skips_per_cluster_profiles_only(self):
+    def test_profiles_change_nothing_and_give_the_winners_profile(self):
         # assign alone, never asked for profiles(), reaches the same state
         # and outcomes: profiles() changes nothing
         state, outcomes, profiles = profiled_run(GOLDEN_CONFIG, GOLDEN_POINTS)
         assert run_stream(GOLDEN_CONFIG, GOLDEN_POINTS) == (state, outcomes)
         self.assert_winners_are_profiled(outcomes, profiles)
 
-    def test_opt_out_winner_profile_matches_after_a_tie_break(self):
+    def test_winners_profile_matches_profiles_after_a_tie_break(self):
         # over a third of these points take the tie-break, whose winner is
         # often not the last tied cluster; its average is reused, not redone
         config, points = Config(60.0, 6), integer_points(random.Random(11), 300, 6, hi=8)
@@ -440,18 +443,21 @@ class TestProfileRecording:
 
     @pytest.mark.parametrize("with_profiles", [True, False])
     def test_matched_counts_are_python_ints(self, with_profiles):
-        # the kernel counts matches in uint8; profiles must not leak that
+        # the kernel counts matches in uint8; neither the outcome nor
+        # profiles() may leak that
         rng = random.Random(11)
         points = integer_points(rng, 80, 6, hi=8)
-        if with_profiles:
-            _, outcomes, per_point = profiled_run(Config(60.0, 6), points)
-        else:
-            (_, outcomes), per_point = run_stream(Config(60.0, 6), points), []
-        profiles = [o.winner_profile for o in outcomes if o.winner_profile is not None]
-        for before in per_point:
-            profiles.extend(before)
-        assert len(profiles) > (len(outcomes) if with_profiles else 10)
-        assert all(type(p.matched_count) is int for p in profiles)
+        eng = ClusteringEngine(Config(60.0, 6))
+        counts, arrays = [], []
+        for p in points:
+            if with_profiles:
+                arrays.append(eng.profiles(p)[0])
+            counts.append(eng.assign(p).matched_count)
+        counts = [c for c in counts if c is not None]
+        assert len(counts) > 10
+        assert all(type(c) is int for c in counts)
+        assert len(arrays) == (len(points) if with_profiles else 0)
+        assert all(a.dtype == np.intp for a in arrays)
 
     @pytest.mark.parametrize(
         "strictness,n,make,ties",
@@ -503,18 +509,15 @@ class TestProfileRecording:
         for seq, p in enumerate(make(random.Random(31))):
             dp = DataPoint(tuple(p))
             centroids = [eng.cluster(cid).centroid() for cid in range(1, eng.cluster_count + 1)]
-            want = tuple(
-                MatchProfile(cid, *naive_profile(dp.features, cent, strictness))
-                for cid, cent in enumerate(centroids, start=1)
-            )
-            got = eng.profiles(dp)
+            want = [naive_profile(dp.features, cent, strictness) for cent in centroids]
+            matched, avgs = eng.profiles(dp)
+            got = profile_pairs(matched, avgs)
             assert got == want
-            assert [prof.qualifying_avg for prof in got] == kernel_avgs(eng, dp.features)
-            # == cannot tell a numpy scalar from a float
-            assert all(
-                type(prof.qualifying_avg) is (float if prof.matched_count else type(None))
-                for prof in got
-            )
+            assert [avg for _, avg in got] == kernel_avgs(eng, dp.features)
+            # == cannot tell a numpy integer from an int: check the arrays'
+            # types, and that nan marks exactly the clusters nothing matched
+            assert (matched.dtype, avgs.dtype) == (np.intp, np.float64)
+            assert np.isnan(avgs).tolist() == (matched == 0).tolist()
             outcome = eng.assign(dp)
             tiebreaks += outcome.decision_path is DecisionPath.AVG_TIEBREAK
             for cent in centroids:
@@ -628,7 +631,7 @@ class TestAgainstNaiveReference:
                 o.assigned_cluster_id,
                 o.created_new,
                 o.decision_path.value,
-                None if o.winner_profile is None else o.winner_profile.matched_count,
+                o.matched_count,
             )
             for o in outcomes
         ]
@@ -653,7 +656,7 @@ class TestAgainstNaiveReference:
         assert len(state.clusters) > 1
         assert max(c.member_count for c in state.clusters) > 1
         _, outcomes = run_stream(Config(strictness, n), points)
-        counts = [o.winner_profile.matched_count for o in outcomes if not o.created_new]
+        counts = [o.matched_count for o in outcomes if not o.created_new]
         assert max(counts) > 255
 
     def test_extreme_magnitudes_agree_exactly(self):
@@ -710,19 +713,15 @@ class TestCountFilter:
         eng = ClusteringEngine(Config(60.0, 6))
         ties = exact_ties = 0
         for p in integer_points(random.Random(11), 300, 6, hi=2):
-            before = eng.profiles(p)
+            before = profile_pairs(*eng.profiles(p))
             outcome = eng.assign(p)
             if outcome.created_new:
                 continue
-            win = outcome.winner_profile
+            win = (outcome.matched_count, outcome.qualifying_avg)
             assert win == before[outcome.assigned_cluster_id - 1]
             if outcome.decision_path is DecisionPath.AVG_TIEBREAK:
                 ties += 1
-                best = [
-                    q.cluster_id
-                    for q in before
-                    if (q.matched_count, q.qualifying_avg) == (win.matched_count, win.qualifying_avg)
-                ]
+                best = [cid for cid, q in enumerate(before, start=1) if q == win]
                 assert outcome.assigned_cluster_id == best[0]
                 exact_ties += len(best) > 1
         assert ties > 100

@@ -25,7 +25,7 @@ from strictcluster import (
 )
 
 from golden import GOLDEN_CENTROIDS, GOLDEN_POINTS, GOLDEN_TIEBREAK_AVGS
-from reference import naive_profile, naive_similarity
+from reference import naive_profile, naive_similarity, profile_pairs
 
 # Dyadic rationals are closed under the arithmetic in these formulas, so
 # properties that would be approximate on arbitrary doubles hold exactly.
@@ -77,11 +77,16 @@ def cluster_with_centroid(values, cid=1):
     )
 
 
-def engine_profiles(point, centroids, strictness):
-    """The engine's MatchProfiles of ``point`` against one cluster per centroid."""
+def engine_arrays(point, centroids, strictness):
+    """The engine's profiles() of ``point`` against one cluster per centroid."""
     clusters = tuple(cluster_with_centroid(c, i) for i, c in enumerate(centroids, start=1))
     state = ClusterState(Config(strictness, len(point)), clusters, points_seen=len(clusters))
     return ClusteringEngine.from_state(state).profiles(point)
+
+
+def engine_profiles(point, centroids, strictness):
+    """engine_arrays as (matched count, qualifying average) pairs."""
+    return profile_pairs(*engine_arrays(point, centroids, strictness))
 
 
 def profile(point, centroid, strictness):
@@ -90,7 +95,7 @@ def profile(point, centroid, strictness):
 
 def qualifies(d, c, strictness):
     """Whether one feature d against centroid value c matches in the engine."""
-    return profile([d], [c], strictness).matched_count == 1
+    return profile([d], [c], strictness)[0] == 1
 
 
 class TestQualifyingBand:
@@ -135,49 +140,51 @@ class TestScaleAbove100:
     """A qualifying similarity v above 100 enters the average as 200 - v."""
 
     def test_at_or_below_100_is_identity(self):
-        assert profile([100.0], [100.0], 1.0).qualifying_avg == 100.0
-        assert profile([60.0], [100.0], 1.0).qualifying_avg == 60.0
-        assert profile([0.5], [100.0], 0.5).qualifying_avg == 0.5
+        assert profile([100.0], [100.0], 1.0)[1] == 100.0
+        assert profile([60.0], [100.0], 1.0)[1] == 60.0
+        assert profile([0.5], [100.0], 0.5)[1] == 0.5
 
     def test_overshoot_folds_back(self):
-        assert profile([140.0], [100.0], 60.0).qualifying_avg == 60.0
-        assert profile([199.5], [100.0], 0.5).qualifying_avg == 0.5
+        assert profile([140.0], [100.0], 60.0)[1] == 60.0
+        assert profile([199.5], [100.0], 0.5)[1] == 0.5
 
     @given(st.builds(lambda m, e: m * 2.0**e, st.integers(1, 1 << 12), st.integers(-12, -6)))
     def test_symmetric_on_dyadic_offsets(self, eps):
         # eps <= 64, so both similarities 100 +- eps are exact and in the band
-        over = profile([100.0 + eps], [100.0], 1.0)
-        under = profile([100.0 - eps], [100.0], 1.0)
-        assert over.qualifying_avg == under.qualifying_avg == 100.0 - eps
+        _, over = profile([100.0 + eps], [100.0], 1.0)
+        _, under = profile([100.0 - eps], [100.0], 1.0)
+        assert over == under == 100.0 - eps
 
 
 class TestMatchProfile:
     def test_tiebreak_profiles_of_the_six_point_example(self):
         # point 4 against C1 = {0, 2} and C3 = {3}, as they stand before it
-        p1, p3 = engine_profiles(
+        (matched1, avg1), (matched3, avg3) = engine_profiles(
             GOLDEN_POINTS[4], [GOLDEN_CENTROIDS[1], GOLDEN_POINTS[3]], 60.0
         )
-        assert p1.matched_count == 8
-        assert p3.matched_count == 8
-        assert round(p1.qualifying_avg, 2) == GOLDEN_TIEBREAK_AVGS[1]
-        assert round(p3.qualifying_avg, 2) == GOLDEN_TIEBREAK_AVGS[3]
-        assert p3.qualifying_avg > p1.qualifying_avg
+        assert matched1 == 8
+        assert matched3 == 8
+        assert round(avg1, 2) == GOLDEN_TIEBREAK_AVGS[1]
+        assert round(avg3, 2) == GOLDEN_TIEBREAK_AVGS[3]
+        assert avg3 > avg1
 
     def test_no_qualifier_gives_none_average(self):
-        p = profile([1000.0, 1000.0], [1.0, 1.0], 60.0)
-        assert p.matched_count == 0
-        assert p.qualifying_avg is None
+        # profiles() marks the missing average nan, which profile_pairs reads as None
+        matched, avgs = engine_arrays([1000.0, 1000.0], [[1.0, 1.0]], 60.0)
+        assert matched.tolist() == [0]
+        assert math.isnan(avgs[0])
+        assert profile([1000.0, 1000.0], [1.0, 1.0], 60.0) == (0, None)
 
     def test_only_qualifying_features_enter_the_average(self):
         # sims: 100, 140 -> scaled 60, and 300 which is out of band
-        p = profile([10.0, 14.0, 30.0], [10.0, 10.0, 10.0], 50.0)
-        assert p.matched_count == 2
-        assert p.qualifying_avg == 80.0
+        matched, avg = profile([10.0, 14.0, 30.0], [10.0, 10.0, 10.0], 50.0)
+        assert matched == 2
+        assert avg == 80.0
 
     def test_undefined_similarity_is_skipped(self):
-        p = profile([3.0, 10.0], [0.0, 10.0], 50.0)
-        assert p.matched_count == 1
-        assert p.qualifying_avg == 100.0
+        matched, avg = profile([3.0, 10.0], [0.0, 10.0], 50.0)
+        assert matched == 1
+        assert avg == 100.0
 
     def test_dimension_mismatches_raise(self):
         state = ClusterState(Config(60.0, 2), (cluster_with_centroid([1.0, 2.0]),), 1)
@@ -201,7 +208,6 @@ class TestMatchProfile:
     )
     def test_agrees_with_a_naive_loop(self, case):
         point_vals, centroid_vals, strictness = case
-        got = profile(point_vals, centroid_vals, strictness)
-        assert (got.matched_count, got.qualifying_avg) == naive_profile(
+        assert profile(point_vals, centroid_vals, strictness) == naive_profile(
             point_vals, centroid_vals, strictness
         )
