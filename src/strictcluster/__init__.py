@@ -28,10 +28,7 @@ from .errors import (
     StrictnessOutOfRange,
     VersionUnsupported,
 )
-from .ingestion import (
-    PointStream,
-    SkippedLine,
-)
+from .ingestion import PointStream
 from .model import (
     AssignmentOutcome,
     Cluster,
@@ -71,7 +68,6 @@ __all__ = [
     "PointStream",
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
-    "SkippedLine",
     "SnapshotError",
     "SnapshotFormatError",
     "StrictnessOutOfRange",

@@ -23,7 +23,7 @@ import numpy as np
 
 from .engine import ClusteringEngine, feature_similarity, qualifying_range
 from .errors import ClusteringError
-from .ingestion import PointStream, SkippedLine
+from .ingestion import PointStream
 from .model import (
     AssignmentOutcome,
     ClusterState,
@@ -124,14 +124,14 @@ def _note(text: str) -> None:
         sys.stderr = None
 
 
-def _report_skip(skipped: SkippedLine) -> None:
-    _note(f"{PROG}: skipped {skipped}\n")
-
-
 def _diagnostic(err: BaseException) -> str:
     msg = str(err)
     line = getattr(err, "line_number", None)
     return f"line {line}: {msg}" if line is not None else msg
+
+
+def _report_skip(err: ClusteringError) -> None:
+    _note(f"{PROG}: skipped {_diagnostic(err)}\n")
 
 
 def _assignment_record(dp: DataPoint, outcome: AssignmentOutcome) -> str:
@@ -236,8 +236,7 @@ def _cluster_stream(
         args.format,
         engine.config if engine is not None else None,
         strictness=None if engine is not None else args.strictness,
-        on_error=args.on_error,
-        on_skip=_report_skip,
+        on_skip=_report_skip if args.on_error == "skip" else None,
     )
     traced = 0
     for dp in stream:

@@ -227,12 +227,17 @@ class ClusteringEngine:
         Accepts a DataPoint, which checked its values when it was built, or a
         bare feature sequence which is validated first. The outcome's
         ``point_seq`` is the point's 0-based position in the stream, which the
-        engine alone numbers. A join's outcome carries the winner's matched
-        count and qualifying average; :meth:`profiles` scores the point
-        against every cluster.
+        engine alone numbers; a :class:`ClusteringError` raised for the point
+        carries the same position as ``point_seq``. A join's outcome carries
+        the winner's matched count and qualifying average; :meth:`profiles`
+        scores the point against every cluster.
         """
         seq = self._points_seen
-        dp = self._coerce(point)
+        try:
+            dp = self._coerce(point)
+        except ClusteringError as err:  # a width or value error
+            err.point_seq = seq
+            raise
         f = np.asarray(dp.features, dtype=np.float64)
         n, m = self._n, self._head
         overflows, zeros = _fixups(dp.features)
@@ -289,10 +294,12 @@ class ClusteringEngine:
             )
         # sums and features are finite and >= 0, so an overflow is +inf
         if math.inf in total.tolist():
-            raise FeatureSumOverflow(
+            err = FeatureSumOverflow(
                 f"point seq {seq} would overflow a feature sum of "
                 f"cluster {widx + 1} past the largest float"
             )
+            err.point_seq = seq
+            raise err
         self._join(widx, total, seq)
         return AssignmentOutcome(
             point_seq=seq,
@@ -391,11 +398,5 @@ def run_stream(
 ) -> tuple[ClusterState, list[AssignmentOutcome]]:
     """Fold :meth:`ClusteringEngine.assign` over a whole stream in order."""
     eng = ClusteringEngine(config)
-    outcomes = []
-    for point in points:
-        try:
-            outcomes.append(eng.assign(point))
-        except ClusteringError as err:
-            err.point_seq = eng.points_seen
-            raise
+    outcomes = [eng.assign(point) for point in points]
     return eng.state(), outcomes

@@ -9,8 +9,9 @@ class ClusteringError(Exception):
     ``line_number`` is the input line that triggered the error, set by
     :class:`~strictcluster.ingestion.PointStream` or, for an error in
     assigning that line's point, by the CLI. ``point_seq`` is the 0-based
-    stream position of the point :func:`~strictcluster.engine.run_stream`
-    was assigning. Each stays ``None`` otherwise.
+    stream position of the point that
+    :meth:`~strictcluster.engine.ClusteringEngine.assign` was placing, set
+    by ``assign`` itself. Each stays ``None`` otherwise.
     """
 
     line_number: int | None = None
@@ -42,7 +43,8 @@ class FeatureSumOverflow(ClusteringError):
 
 
 class ParseError(ClusteringError):
-    """A line of input text could not be parsed into a feature vector."""
+    """A line of input text could not be parsed into a feature vector, or a
+    feature given to a DataPoint is not a number that float() converts."""
 
     def __init__(self, message: str, column: int | None = None):
         super().__init__(message)

@@ -18,22 +18,10 @@ order; the engine, not this module, numbers them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import IO, Callable, Iterator
 
 from .errors import ClusteringError, ParseError
 from .model import Config, DataPoint, validate_point
-
-
-@dataclass(frozen=True, slots=True)
-class SkippedLine:
-    """Diagnostic for a line dropped under on_error=skip."""
-
-    line_number: int
-    error: ClusteringError
-
-    def __str__(self) -> str:
-        return f"line {self.line_number}: {self.error}"
 
 
 def _csv_number(text: str) -> float:
@@ -130,8 +118,9 @@ class PointStream:
     as ``.config`` from then on; every later record must agree with it.
     ``.line_number`` is the input line of the point yielded last.
 
-    on_error="halt" raises at the first bad line (the exception carries the
-    line number); "skip" reports the line through ``on_skip`` and continues.
+    A bad line raises its :class:`ClusteringError`, whose ``line_number`` is
+    set, and ends the stream. With ``on_skip``, the stream instead hands it
+    that error and goes on with the next line.
     """
 
     def __init__(
@@ -141,20 +130,16 @@ class PointStream:
         config: Config | None = None,
         *,
         strictness: float | None = None,
-        on_error: str = "halt",
-        on_skip: Callable[[SkippedLine], None] | None = None,
+        on_skip: Callable[[ClusteringError], None] | None = None,
     ):
         if fmt not in ("csv", "jsonl"):
             raise ValueError(f"unknown format {fmt!r}")
-        if on_error not in ("halt", "skip"):
-            raise ValueError(f"unknown on_error policy {on_error!r}")
         if config is None and strictness is None:
             raise ValueError("either a config or a strictness is required")
         self._source = source
         self._fmt = fmt
         self.config = config
         self._strictness = strictness
-        self._on_error = on_error
         self._on_skip = on_skip
         self.line_number: int | None = None
 
@@ -182,10 +167,9 @@ class PointStream:
             except ClusteringError as err:
                 saw_content = True  # a line that will not decode is not blank
                 err.line_number = line_number
-                if self._on_error == "halt":
+                if self._on_skip is None:
                     raise
-                if self._on_skip is not None:
-                    self._on_skip(SkippedLine(line_number, err))
+                self._on_skip(err)
                 continue
             self.line_number = line_number
             yield point

@@ -17,6 +17,7 @@ from .errors import (
     InvariantViolation,
     NegativeFeature,
     NonFiniteFeature,
+    ParseError,
     StrictnessOutOfRange,
 )
 
@@ -56,14 +57,26 @@ class DataPoint:
     """One arrival in the stream: its features and optional label. Its stream
     position is numbered by the engine, as ``outcome.point_seq``.
 
-    The features are stored as floats and must be finite and nonnegative.
+    The features are stored as floats and must be finite and nonnegative; a
+    feature that float() cannot convert raises ParseError.
     """
 
     features: tuple[float, ...]
     label: str | None = None  # optional caller-supplied id, carried through outputs
 
     def __post_init__(self):
-        vals = tuple(map(float, self.features))
+        try:
+            vals = tuple(map(float, self.features))
+        except (TypeError, ValueError, OverflowError) as err:
+            for j, v in enumerate(self.features, start=1):
+                try:
+                    float(v)
+                except (TypeError, ValueError, OverflowError):
+                    raise ParseError(
+                        f"feature {j} cannot be read as a float: {_shown(v)}"
+                    ) from None
+            # an iterator, which the failed pass used up: no position to name
+            raise ParseError(f"a feature cannot be read as a float: {err}") from None
         # A finite sum rules out nan and inf. The loop names the first bad
         # feature, and also accepts a finite vector whose sum overflows. An
         # empty vector skips it, as min() of nothing fails; the truth test is

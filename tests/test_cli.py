@@ -252,15 +252,31 @@ class TestRun:
         assert [r["label"] for r in records_of(out)] == [forged, "plain id"]
 
     def test_on_error_skip_reports_and_exits_zero(self, tmp_path, capsys):
-        data = tmp_path / "bad.csv"
-        data.write_text("1,2\n1,zap\n3,4\n")
-        code = main(
-            ["run", "--strictness", "60", "--input", str(data), "--on-error", "skip"]
-        )
-        out, err = capsys.readouterr()
-        assert code == 0
-        assert "skipped line 2" in err
-        assert [r["seq"] for r in records_of(out)] == [0, 1]
+        # each bad line 2, CSV and JSONL: its skip note, byte for byte, and the
+        # same "line 2: ..." text in the error line of a halt
+        for fmt, bad, text in [
+            ("csv", b"1,zap", "column 2: 'zap' is not a number"),
+            ("csv", b"1,\xff2", "not valid UTF-8"),
+            ("csv", b"1,2,3", "expected 2 features, got 3"),
+            ("jsonl", b'{"features": [1, "x"]}', '"features"[2]: \'x\' is not a number'),
+            ("jsonl", b"[1, 2]", "expected a JSON object"),
+            ("jsonl", b'{"features": [1, 2], "id": "\xff"}', "not valid UTF-8"),
+            ("jsonl", b'{"features": [1, 2, 3]}', "expected 2 features, got 3"),
+        ]:
+            good = [b"1,2", b"3,4"] if fmt == "csv" else [
+                b'{"features": [1, 2]}', b'{"features": [3, 4]}'
+            ]
+            data = tmp_path / f"bad.{fmt}"
+            data.write_bytes(b"\n".join([good[0], bad, good[1]]) + b"\n")
+            argv = ["run", "--strictness", "60", "--format", fmt, "--input", str(data)]
+            code = main([*argv, "--on-error", "skip"])
+            out, err = capsys.readouterr()
+            assert (code, err) == (0, f"strictcluster: skipped line 2: {text}\n")
+            assert [r["seq"] for r in records_of(out)] == [0, 1]
+            code = main([*argv, "--on-error", "halt"])
+            out, err = capsys.readouterr()
+            assert (code, err) == (1, f"strictcluster: error: line 2: {text}\n")
+            assert [r["seq"] for r in records_of(out)] == [0]
 
     def test_on_error_halt_exits_one_with_line_number(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"

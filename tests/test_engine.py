@@ -24,6 +24,7 @@ from strictcluster import (
     DimensionMismatch,
     FeatureSumOverflow,
     NegativeFeature,
+    ParseError,
     run_stream,
     should_match_features,
     verify_state,
@@ -289,9 +290,27 @@ class TestStreamDiscipline:
             eng.assign([1.0, -1.0])
 
     def test_run_stream_reports_the_failing_seq(self):
-        with pytest.raises(NegativeFeature) as exc:
-            run_stream(Config(60.0, 2), [[1.0, 2.0], [1.0, -2.0]])
-        assert exc.value.point_seq == 1
+        # width, value and sum-overflow errors, each at the failing position;
+        # assign numbers them, so a manual loop gets the position too
+        cases = [
+            (DimensionMismatch, Config(60.0, 2), [[1.0, 2.0], [1.0, 2.0, 3.0]], 1),
+            (NegativeFeature, Config(60.0, 2), [[1.0, 2.0], [3.0, 4.0], [1.0, -2]], 2),
+            (FeatureSumOverflow, Config(50.0, 1), [[1e308], [1e308]], 1),
+        ] + [
+            # a feature float() refuses, 10**5000 too long even for repr()
+            (ParseError, Config(60.0, 1), [[1.0], [bad]], 1)
+            for bad in ["x", None, [1.0], 1 + 2j, 10**400, 10**5000]
+        ]
+        for error, config, points, seq in cases:
+            with pytest.raises(error) as exc:
+                run_stream(config, points)
+            assert exc.value.point_seq == seq
+            eng = ClusteringEngine(config)
+            with pytest.raises(error) as exc:
+                for point in points:
+                    eng.assign(point)
+            assert exc.value.point_seq == seq
+            assert eng.points_seen == seq  # the failing point changed nothing
 
     def test_many_new_clusters_grow_capacity(self):
         points = [[3.0**i] for i in range(100)]  # each 300% of the last: never joins

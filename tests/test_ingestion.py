@@ -286,11 +286,11 @@ class TestPointStream:
         assert [json.loads(line)["seq"] for line in out.splitlines()] == [0]
         assert err == "strictcluster: skipped line 2: column 2: '2\\r3' is not a number\n"
         seen = []
-        stream = PointStream(
-            io.BytesIO(data), "csv", CFG2, on_error="skip", on_skip=seen.append
-        )
+        stream = PointStream(io.BytesIO(data), "csv", CFG2, on_skip=seen.append)
         assert [p.features for p in collect(stream)] == [(5.0, 6.0)]
-        assert [f"strictcluster: skipped {s}\n" for s in seen] == [err]
+        assert [
+            f"strictcluster: skipped line {e.line_number}: {e}\n" for e in seen
+        ] == [err]
 
     def test_halt_raises_with_line_number(self):
         stream = PointStream(io.BytesIO(b"1,2\n1,oops\n3,4\n"), "csv", CFG2)
@@ -306,14 +306,15 @@ class TestPointStream:
             io.BytesIO(b"1,2\n1,oops\n3,4\n5,-1\n7,8\n"),
             "csv",
             CFG2,
-            on_error="skip",
             on_skip=seen.append,
         )
         points = collect(stream)
         assert engine_seqs(points, CFG2) == [0, 1, 2]  # skipped lines use no seq
         assert [p.features[0] for p in points] == [1.0, 3.0, 7.0]
-        assert [s.line_number for s in seen] == [2, 4]
-        assert str(seen[0]).startswith("line 2: ")
+        # the callback is handed each line's error itself, its line number set
+        assert [type(e) for e in seen] == [ParseError, NegativeFeature]
+        assert [e.line_number for e in seen] == [2, 4]
+        assert str(seen[0]) == "column 2: 'oops' is not a number"
 
     def test_width_change_mid_stream(self):
         stream = PointStream(io.BytesIO(b"1,2\n1,2,3\n"), "csv", strictness=60.0)
@@ -334,8 +335,6 @@ class TestPointStream:
     def test_constructor_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             PointStream(io.BytesIO(b""), "tsv", CFG2)
-        with pytest.raises(ValueError):
-            PointStream(io.BytesIO(b""), "csv", CFG2, on_error="ignore")
         with pytest.raises(ValueError):
             PointStream(io.BytesIO(b""), "csv")  # neither config nor strictness
 
@@ -382,11 +381,9 @@ class TestEncoding:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_bytes_not_utf8_are_skipped_as_a_bad_line(self, fmt):
         seen = []
-        stream = PointStream(
-            io.BytesIO(NOT_UTF8[fmt]), fmt, CFG2, on_error="skip", on_skip=seen.append
-        )
+        stream = PointStream(io.BytesIO(NOT_UTF8[fmt]), fmt, CFG2, on_skip=seen.append)
         assert [p.features for p in collect(stream)] == [(1.0, 2.0), (3.0, 4.0)]
-        assert [str(s) for s in seen] == ["line 2: not valid UTF-8"]
+        assert [(e.line_number, str(e)) for e in seen] == [(2, "not valid UTF-8")]
 
     @pytest.mark.parametrize("policy", ["halt", "skip"])
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -419,12 +416,11 @@ class TestEncoding:
         # it is the first content line, so the line after it is no header either
         seen = []
         stream = PointStream(
-            io.BytesIO(b"\xff,y\nx,y\n1,2\n"), "csv", CFG2,
-            on_error="skip", on_skip=seen.append,
+            io.BytesIO(b"\xff,y\nx,y\n1,2\n"), "csv", CFG2, on_skip=seen.append
         )
         assert [p.features for p in collect(stream)] == [(1.0, 2.0)]
-        assert [str(s) for s in seen] == [
-            "line 1: not valid UTF-8", "line 2: column 1: 'x' is not a number"
+        assert [(e.line_number, str(e)) for e in seen] == [
+            (1, "not valid UTF-8"), (2, "column 1: 'x' is not a number")
         ]
 
     @pytest.mark.parametrize(

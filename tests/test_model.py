@@ -18,6 +18,7 @@ from strictcluster import (
     InvariantViolation,
     NegativeFeature,
     NonFiniteFeature,
+    ParseError,
     StrictnessOutOfRange,
     run_stream,
     validate_point,
@@ -131,12 +132,22 @@ class TestDataPoint:
         [((-1.0, 5.0), NegativeFeature, "feature 1 is negative: -1.0"),
          ((math.nan, 5.0), NonFiniteFeature, "feature 1 is not finite: nan"),
          ((5.0, -math.inf), NonFiniteFeature, "feature 2 is not finite: -inf"),
-         ((5.0, -2.0, math.nan), NegativeFeature, "feature 2 is negative: -2.0")],
+         ((5.0, -2.0, math.nan), NegativeFeature, "feature 2 is negative: -2.0"),
+         ((1.0, "x"), ParseError, "feature 2 cannot be read as a float: 'x'"),
+         ((None, 1.0), ParseError, "feature 1 cannot be read as a float: None"),
+         ((1.0, 2.0, 10**5000), ParseError,
+          "feature 3 cannot be read as a float: an integer too long to print")],
     )
     def test_an_invalid_point_cannot_be_built(self, features, error, message):
         # refused here, or the engine would take it into a sum that no snapshot loads
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             DataPoint(features)
+
+    def test_an_iterator_that_is_no_float_is_a_parse_error(self):
+        # the failed pass used the iterator up, so no position can be named
+        with pytest.raises(ParseError) as exc:
+            DataPoint(iter([1.0, "x"]))
+        assert str(exc.value).startswith("a feature cannot be read as a float: ")
 
     def test_features_are_stored_as_a_float_tuple(self):
         dp = DataPoint([1, 2.5, 3], label="a")

@@ -1,5 +1,7 @@
 """The README's "Library use" section against the package it documents."""
 
+import builtins
+import re
 from pathlib import Path
 
 import strictcluster
@@ -36,3 +38,12 @@ def test_library_use_names_every_public_name():
             continue  # errors are listed as ClusteringError and its subclasses
         assert f"`{name}" in section, name
     assert "`ClusteringError` and its subclasses" in section
+
+
+def test_library_use_names_only_public_names():
+    # every bare CamelCase name in an inline code span, fenced code aside
+    prose = re.sub(r"```.*?```", "", library_use(), flags=re.DOTALL)
+    names = set(re.findall(r"`([A-Z][A-Za-z0-9]*)`", prose))
+    assert "ClusteringEngine" in names  # the pattern finds what it should
+    for name in names:
+        assert name in strictcluster.__all__ or hasattr(builtins, name), name
