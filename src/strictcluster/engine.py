@@ -11,11 +11,29 @@ Once k is large, :meth:`ClusteringEngine.assign` count-filters first. A
 qualifier misses at most n - need features, so among the first m feature
 rows it matches at least m - (n - need). The engine scores those m rows of
 every cluster, then fully scores only the clusters that reach that count;
-the rest cannot qualify. The head rows are the full kernel's own divisions
-and fix-ups, so the outcome is the full scan's, bit for bit. The filter runs
-when n - need < m < n (see :func:`_head_rows`) and the rows it can skip,
+the rest cannot qualify. The full kernel scores the kept clusters, so the
+outcome is the full scan's, bit for bit. The filter runs when
+n - need < m < n (see :func:`_head_rows`) and the rows it can skip,
 (n - m) * k, number at least ``_FILTER_MIN_SKIPPED``; below that its extra
 numpy calls cost more than the rows they save.
+
+The head pass only has to keep a superset of the clusters that can qualify,
+so it screens in float32 (:meth:`ClusteringEngine._screen`): it divides
+float32(100 * d) by a float32 mirror of the m head rows of the centroids and
+counts the cells inside the band widened by a relative 2**-20 and rounded
+outward to float32. While every operand is a normal float32, each is within
+2**-24 of its float64 value, so the exact float32 quotient is within
+1 +- 3.01 * 2**-24 of the float64 similarity, about 5x inside the margin;
+rounding is monotone, so every float64 in-band cell is in the screen's band
+and every cluster the float64 head pass would keep is kept. The screen runs
+only while every positive feature of every point assigned lies in
+[2**-60, 2**60]; every centroid is then 0 or within [2**-113, 2**60] (counts
+below 2**53), which float32 holds as normal numbers. The mirror is built the
+first time the filter runs, after one check of the state's head rows, and
+kept in step by every create and join. The first point outside the range,
+or a state outside it, turns the screen off for the engine's lifetime, so no
+value outside it is ever cast; the head pass then runs in float64, the full
+kernel on the m head rows.
 
 The per-cluster scan is vectorized with numpy, but every arithmetic step
 mirrors this module's :func:`feature_similarity` and the band check
@@ -127,6 +145,23 @@ def _fixups(features: tuple[float, ...]) -> tuple[bool, bool]:
     return 100.0 * max(features) == math.inf, 0.0 in features
 
 
+# Positive features in this range keep the float32 screen's operands normal.
+_SCREEN_MIN, _SCREEN_MAX = 2.0**-60, 2.0**60
+
+
+def _screen_fixups(features: tuple[float, ...]) -> tuple[bool, bool, bool]:
+    """:func:`_fixups` from one max and one min pass, and whether every
+    positive feature lies in [_SCREEN_MIN, _SCREEN_MAX]. Features are >= 0,
+    so a min of 0 (or -0.0) means a zero feature; only then does a second
+    pass find the smallest positive one.
+    """
+    top, low = max(features), min(features)
+    zeros = low == 0.0
+    if zeros:
+        low = min((v for v in features if v), default=_SCREEN_MIN)
+    return 100.0 * top == math.inf, zeros, _SCREEN_MIN <= low and top <= _SCREEN_MAX
+
+
 def _qualifying_avg(sims: np.ndarray, band: np.ndarray, i: int) -> float:
     """Average of cluster i's in-band similarities, each v above 100 as 200 - v.
 
@@ -162,6 +197,8 @@ class ClusteringEngine:
         self._count_type = np.min_scalar_type(self._n)
         self._head = _head_rows(self._n, self._need)
         self._head_need = self._head - (self._n - self._need)
+        self._screens = True  # until a value outside the screen's range
+        self._cents32: np.ndarray | None = None  # the head rows' float32 mirror
         self._points_seen = 0
         self._sums = np.zeros((0, self._n), dtype=np.float64)
         self._counts: list[int] = []
@@ -240,16 +277,27 @@ class ClusteringEngine:
             raise
         f = np.asarray(dp.features, dtype=np.float64)
         n, m = self._n, self._head
-        overflows, zeros = _fixups(dp.features)
+        filtering = m < n and (n - m) * len(self._counts) >= _FILTER_MIN_SKIPPED
+        if filtering and self._cents32 is None and self._screens:
+            self._start_screen()
+        if self._cents32 is None:
+            overflows, zeros = _fixups(dp.features)
+        else:
+            overflows, zeros, in_range = _screen_fixups(dp.features)
+            if not in_range:
+                self._screens, self._cents32 = False, None
 
         # Score against the state as it stood before this point; once k is
         # large, only the clusters that pass the count filter (module doc).
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if m < n and (n - m) * len(self._counts) >= _FILTER_MIN_SKIPPED:
-                head = self._score(f[:m], self._cents[:m], overflows, zeros)[2]
+            if filtering:
                 # ascending: the kept columns stay in creation order, so an
                 # exact tie still goes to the earliest cluster
-                kept = (head >= self._head_need).nonzero()[0]
+                if self._cents32 is not None:
+                    kept = self._screen(f, zeros)
+                else:
+                    head = self._score(f[:m], self._cents[:m], overflows, zeros)[2]
+                    kept = (head >= self._head_need).nonzero()[0]
                 cents = self._cents[:, kept]
             else:
                 kept, cents = None, self._cents
@@ -367,6 +415,40 @@ class ClusteringEngine:
         matched = np.add.reduce(band.view(np.uint8), axis=0, dtype=self._count_type)
         return sims, band, matched
 
+    def _screen(self, f: np.ndarray, zeros: bool) -> np.ndarray:
+        """Ascending ids of the columns whose float32 head count reaches the
+        filter's need: every column the float64 head pass keeps, and maybe a
+        few more (module doc). ``f`` is the whole point as float64.
+        """
+        m, cents = self._head, self._cents32
+        sims = (100.0 * f[:m]).astype(np.float32)[:, None] / cents
+        if zeros:  # as in _score; c32 is 0 exactly where c is
+            for j in (f[:m] == 0.0).nonzero()[0]:
+                row = sims[j]
+                row[cents[j] == 0.0] = 100.0
+        band = (sims >= self._lo32) & (sims <= self._hi32)
+        head = np.add.reduce(band.view(np.uint8), axis=0, dtype=self._count_type)
+        return (head >= self._head_need).nonzero()[0]
+
+    def _start_screen(self) -> None:
+        """Build the float32 mirror of the head rows if the state lies in the
+        screen's range: every nonzero head sum at least _SCREEN_MIN, every
+        head centroid at most _SCREEN_MAX and every count below 2**53.
+        Otherwise the screen stays off for good."""
+        m = self._head
+        sums = self._sums[:, :m]
+        self._screens = (
+            max(self._counts, default=0) < 2**53
+            and not ((sums > 0.0) & (sums < _SCREEN_MIN)).any()
+            and not (self._cents[:m] > _SCREEN_MAX).any()
+        )
+        if self._screens:
+            # the band widened by 2**-20 and rounded outward (module doc);
+            # built here, so an engine that never filters loads no float32 code
+            self._lo32 = np.nextafter(np.float32(self._lo * (1 - 2.0**-20)), np.float32(0))
+            self._hi32 = np.nextafter(np.float32(self._hi * (1 + 2.0**-20)), np.float32(np.inf))
+            self._cents32 = self._cents[:m].astype(np.float32)
+
     def _coerce(self, point: DataPoint | Sequence[float]) -> DataPoint:
         if isinstance(point, DataPoint):
             if len(point.features) != self._n:
@@ -380,6 +462,10 @@ class ClusteringEngine:
     def _create(self, f: np.ndarray, seq: int) -> int:
         self._sums = np.vstack((self._sums, f))
         self._cents = np.hstack((self._cents, f[:, None]))
+        if self._cents32 is not None:
+            self._cents32 = np.concatenate(
+                (self._cents32, f[: self._head, None]), axis=1, dtype=np.float32
+            )
         self._counts.append(1)
         self._members.append([seq])
         self._points_seen += 1
@@ -389,6 +475,8 @@ class ClusteringEngine:
         self._sums[i] = total
         self._counts[i] += 1
         self._cents[:, i] = total / self._counts[i]
+        if self._cents32 is not None:
+            self._cents32[:, i] = self._cents[: self._head, i]
         self._members[i].append(seq)
         self._points_seen += 1
 

@@ -85,6 +85,27 @@ def force_count_filter(monkeypatch):
     return force
 
 
+@pytest.fixture
+def head_paths(monkeypatch):
+    """A list that gets, for each assign that count-filters, which head pass
+    ran: "float32" for the screen, "float64" for the full kernel's head rows."""
+    paths = []
+    screen, score = ClusteringEngine._screen, ClusteringEngine._score
+
+    def screen_spy(self, *args):
+        paths.append("float32")
+        return screen(self, *args)
+
+    def score_spy(self, f, *args):
+        if f.size < self._n:
+            paths.append("float64")
+        return score(self, f, *args)
+
+    monkeypatch.setattr(ClusteringEngine, "_screen", screen_spy)
+    monkeypatch.setattr(ClusteringEngine, "_score", score_spy)
+    return paths
+
+
 class TestShouldMatch:
     @pytest.mark.parametrize(
         "strictness,n,expected",
@@ -645,16 +666,7 @@ class TestAgainstNaiveReference:
     def assert_agrees(strictness, n, points):
         state, outcomes = run_stream(Config(strictness, n), points)
         clusterer, results = naive_run(strictness, n, points)
-        got = [
-            (
-                o.assigned_cluster_id,
-                o.created_new,
-                o.decision_path.value,
-                o.matched_count,
-            )
-            for o in outcomes
-        ]
-        assert got == results
+        assert outcome_keys(outcomes) == results
         assert [list(c.member_seqs) for c in state.clusters] == clusterer.members
         for cluster in state.clusters:
             assert list(cluster.centroid()) == clusterer.centroid(cluster.id - 1)
@@ -702,7 +714,9 @@ class TestAgainstNaiveReference:
 
     @pytest.mark.parametrize("on", [True, False], ids=["filter-on", "filter-off"])
     @pytest.mark.parametrize("name", list(FILTER_STREAMS))
-    def test_count_filter_forced_agrees_exactly(self, name, on, force_count_filter):
+    def test_count_filter_forced_agrees_exactly(
+        self, name, on, force_count_filter, head_paths
+    ):
         # the filter drops only clusters that cannot qualify, so forced on at
         # every k or off it must give the oracle's outcomes bit for bit
         pruned = force_count_filter(on)
@@ -713,8 +727,12 @@ class TestAgainstNaiveReference:
                 assert m < n and (n - m) * len(state.clusters) >= FILTER_MIN_SKIPPED
         if on:
             assert max(pruned) > 0  # no case passes without pruning a column
+            # features past 2**60 keep the float32 screen off
+            want = "float64" if name == "extreme-magnitudes" else "float32"
+            assert set(head_paths) == {want}
         else:
             assert not any(pruned)
+            assert not head_paths
 
 
 class TestCountFilter:
@@ -746,3 +764,236 @@ class TestCountFilter:
         assert ties > 100
         assert exact_ties > 0
         assert max(pruned) > 0
+
+
+def engine_with_centroids(strictness, cents):
+    """An engine of one-point clusters: column i of ``cents``, n by k, is
+    cluster i's centroid."""
+    n, k = cents.shape
+    clusters = tuple(
+        Cluster(
+            id=i + 1,
+            member_count=1,
+            feature_sums=tuple(cents[:, i].tolist()),
+            member_seqs=(i,),
+        )
+        for i in range(k)
+    )
+    return ClusteringEngine.from_state(ClusterState(Config(strictness, n), clusters, k))
+
+
+def head_kept(eng, point):
+    """The columns that the float64 head pass and the float32 screen keep."""
+    f = np.asarray(point, dtype=np.float64)
+    overflows, zeros = _fixups(tuple(point))
+    m = eng._head
+    eng._start_screen()
+    assert eng._cents32 is not None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        head = eng._score(f[:m], eng._cents[:m], overflows, zeros)[2]
+        kept32 = eng._screen(f, zeros)
+    return (head >= eng._head_need).nonzero()[0].tolist(), kept32.tolist()
+
+
+def assert_mirror_in_step(eng):
+    want = eng._cents[: eng._head].astype(np.float32)
+    assert eng._cents32.shape == want.shape
+    assert eng._cents32.tobytes() == want.tobytes()
+
+
+def outcome_keys(outcomes):
+    """The outcomes as the oracle's (cluster id, created, path, matched) tuples."""
+    return [
+        (o.assigned_cluster_id, o.created_new, o.decision_path.value, o.matched_count)
+        for o in outcomes
+    ]
+
+
+IN_SCREEN_RANGE = st.floats(2.0**-60, 2.0**60)
+
+
+@st.composite
+def screen_cases(draw):
+    """A strictness, a point and an n by k centroid matrix in the screen's
+    range, most cells at a similarity near or on the band's edges."""
+    strictness = draw(st.sampled_from(STRICTNESS_CHOICES))
+    n, k = draw(st.integers(1, 24)), draw(st.integers(1, 8))
+    lo, hi = engine_module.qualifying_range(strictness)
+    ratio = (
+        st.sampled_from([lo, hi])
+        | st.floats(lo * 0.999, hi * 1.001)
+        | st.floats(1e-3, 400.0)
+    )
+    point = [draw(st.sampled_from([0.0, -0.0]) | IN_SCREEN_RANGE) for _ in range(n)]
+    cents = np.empty((n, k))
+    for j, d in enumerate(point):
+        for i in range(k):
+            if d == 0.0 or draw(st.integers(0, 9)) == 0:
+                cents[j, i] = draw(st.just(0.0) | IN_SCREEN_RANGE)
+            else:
+                cents[j, i] = min(max(100.0 * d / draw(ratio), 2.0**-60), 2.0**60)
+    return strictness, point, cents
+
+
+# Strictness values for the band-edge cases; at 0.07 the filter never runs,
+# since its head would be wider than n.
+EDGE_STRICTNESS = (60.0, 75.0, 90.0, 99.996, 0.07)
+EDGE_CENTROIDS = (1e-10, 5.5e-7, 2.0**40) + tuple(1.0 + j / 97.0 for j in range(100))
+
+
+def edge_cell(target, outward):
+    """A (c, d) pair whose float64 similarity fl(fl(100 * d) / c) is exactly
+    ``target``, d stepped by ulps from target * c / 100. Of all such pairs
+    over EDGE_CENTROIDS, the one whose float32 quotient lies furthest outward
+    (-1 down, +1 up): a float32 band rounded to nearest would miss it."""
+    cells = []
+    for c in EDGE_CENTROIDS:
+        for direction in (math.inf, -math.inf):
+            d = target * c / 100.0
+            for _ in range(40):
+                if 100.0 * d / c == target:
+                    cells.append((c, d))
+                    break
+                d = math.nextafter(d, direction)
+            else:
+                continue
+            break
+    assert len(cells) >= 10, target
+    return max(cells, key=lambda cd: outward * float(np.float32(100.0 * cd[1]) / np.float32(cd[0])))
+
+
+def edge_streams():
+    """(strictness, in band, [centroid point, edge point]) for each strictness
+    and each target on a band edge or one float64 ulp either side of it."""
+    n = 20
+    for strictness in EDGE_STRICTNESS:
+        lo, hi = engine_module.qualifying_range(strictness)
+        targets = [  # (target, outward, in band)
+            (math.nextafter(lo, -math.inf), -1, False),
+            (lo, -1, True),
+            (math.nextafter(lo, math.inf), -1, True),
+            (math.nextafter(hi, -math.inf), 1, True),
+            (hi, 1, True),
+            (math.nextafter(hi, math.inf), 1, False),
+        ]
+        for target, outward, inside in targets:
+            c, d = edge_cell(target, outward)
+            yield strictness, inside, [[c] * n, [d] * n]
+
+
+# A feature value and whether it lies in the float32 screen's range.
+RANGE_VALUES = [
+    (2.0**-60, True),
+    (2.0**60, True),
+    (0.0, True),
+    (-0.0, True),
+    (math.nextafter(2.0**-60, 0.0), False),
+    (math.nextafter(2.0**60, math.inf), False),
+    (5e-324, False),
+    (1e300, False),
+    (1e307, False),
+]
+
+
+class TestHeadScreen:
+    """The count filter's float32 head screen (module doc of engine.py)."""
+
+    @given(screen_cases())
+    def test_screen_keeps_every_column_the_float64_head_keeps(self, case):
+        strictness, point, cents = case
+        kept64, kept32 = head_kept(engine_with_centroids(strictness, cents), point)
+        assert set(kept64) <= set(kept32)
+        assert kept32 == sorted(set(kept32))
+
+    def test_band_edges_keep_their_column(self):
+        for strictness, inside, (cents, point) in edge_streams():
+            eng = engine_with_centroids(strictness, np.array(cents)[:, None])
+            kept64, kept32 = head_kept(eng, point)
+            assert kept64 == ([0] if inside else [])
+            assert set(kept64) <= set(kept32)
+
+    def test_band_edges_agree_with_the_oracle(self, force_count_filter, head_paths):
+        force_count_filter(True)
+        for strictness, inside, points in edge_streams():
+            del head_paths[:]
+            n = len(points[0])
+            state = TestAgainstNaiveReference.assert_agrees(strictness, n, points)
+            assert len(state.clusters) == (1 if inside else 2)
+            m = _head_rows(n, should_match_features(Config(strictness, n)))
+            assert head_paths == (["float32"] * 2 if m < n else [])
+
+    @pytest.mark.parametrize("value,in_range", RANGE_VALUES, ids=repr)
+    def test_screen_stops_at_the_first_point_out_of_its_range(
+        self, value, in_range, force_count_filter, head_paths
+    ):
+        force_count_filter(True)
+        [(strictness, n, points)] = FILTER_STREAMS["anchored-n100-s75"]()
+        at = 60
+        special = list(points[at])
+        special[0] = value
+        stream = points[:at] + [special] + points[at:120]
+        eng = ClusteringEngine(Config(strictness, n))
+        outcomes = []
+        for p in stream:
+            outcomes.append(eng.assign(p))
+            if in_range or len(outcomes) <= at:
+                assert_mirror_in_step(eng)
+            else:
+                assert eng._cents32 is None
+        _, results = naive_run(strictness, n, stream)
+        assert outcome_keys(outcomes) == results
+        after = "float32" if in_range else "float64"
+        assert head_paths == ["float32"] * at + [after] * (len(stream) - at)
+
+    @pytest.mark.parametrize(
+        "value,in_range",
+        [(2.0**-60, True), (2.0**60, True), (math.nextafter(2.0**-60, 0.0), False), (2.0**61, False)],
+        ids=repr,
+    )
+    def test_a_loaded_state_out_of_its_range_keeps_the_float64_head(
+        self, value, in_range, force_count_filter, head_paths
+    ):
+        # a point with every feature at value founds a cluster, so its head
+        # sums (or centroid) sit at value; the unforced filter is off at this
+        # k, so the state holds them without the screen having seen them
+        [(strictness, n, points)] = FILTER_STREAMS["anchored-n100-s75"]()
+        stream = points[:40] + [[value] * n] + points[40:100]
+        head = ClusteringEngine(Config(strictness, n))
+        founded = [head.assign(p) for p in stream[:50]][40]
+        assert head._cents32 is None and not head_paths
+        assert founded.created_new
+        assert head.cluster(founded.assigned_cluster_id).feature_sums == (value,) * n
+
+        force_count_filter(True)
+        eng = ClusteringEngine.from_state(head.state())
+        tail = [eng.assign(p) for p in stream[50:]]
+        _, results = naive_run(strictness, n, stream)
+        assert outcome_keys(tail) == results[50:]
+        assert head_paths == ["float32" if in_range else "float64"] * len(tail)
+        if in_range:
+            assert_mirror_in_step(eng)
+        else:
+            assert eng._cents32 is None
+
+    def test_the_mirror_stays_in_step_across_a_resume(self, head_paths):
+        # the bench's wide shape, unforced: the filter starts at k = 182
+        points = anchored_points(
+            random.Random(75), 400, 100, n_anchors=250, spread=0.15, outlier_rate=0.04
+        )
+        config = Config(75.0, 100)
+        eng = ClusteringEngine(config)
+        for p in points[:300]:
+            eng.assign(p)
+            if head_paths:
+                assert_mirror_in_step(eng)
+        assert 0 < len(head_paths) < 300
+
+        resumed = ClusteringEngine.from_state(eng.state())
+        assert resumed._cents32 is None  # built by the first filtered assign
+        resumed.profiles(points[300])
+        assert resumed._cents32 is None
+        for p in points[300:]:
+            assert resumed.assign(p) == eng.assign(p)
+            assert_mirror_in_step(resumed)
+        assert resumed.state() == eng.state()
+        assert set(head_paths) == {"float32"}
