@@ -18,22 +18,22 @@ n - need < m < n (see :func:`_head_rows`) and the rows it can skip,
 numpy calls cost more than the rows they save.
 
 The head pass only has to keep a superset of the clusters that can qualify,
-so it screens in float32 (:meth:`ClusteringEngine._screen`): it divides
-float32(100 * d) by a float32 mirror of the m head rows of the centroids and
-counts the cells inside the band widened by a relative 2**-20 and rounded
-outward to float32. While every operand is a normal float32, each is within
-2**-24 of its float64 value, so the exact float32 quotient is within
-1 +- 3.01 * 2**-24 of the float64 similarity, about 5x inside the margin;
-rounding is monotone, so every float64 in-band cell is in the screen's band
-and every cluster the float64 head pass would keep is kept. The screen runs
-only while every positive feature of every point assigned lies in
-[2**-60, 2**60]; every centroid is then 0 or within [2**-113, 2**60] (counts
-below 2**53), which float32 holds as normal numbers. The mirror is built the
-first time the filter runs, after one check of the state's head rows, and
-kept in step by every create and join. The first point outside the range,
-or a state outside it, turns the screen off for the engine's lifetime, so no
-value outside it is ever cast; the head pass then runs in float64, the full
-kernel on the m head rows.
+so it screens in float32 (:meth:`ClusteringEngine._screen`): the kernel
+divides float32(100 * d) by a float32 mirror of the m head rows of the
+centroids and counts the cells inside the band widened by a relative 2**-20
+and rounded outward to float32. While every operand is a normal float32,
+each is within 2**-24 of its float64 value, so the exact float32 quotient is
+within 1 +- 3.01 * 2**-24 of the float64 similarity, about 5x inside the
+margin; rounding is monotone, so every float64 in-band cell is in the
+screen's band and no cluster that can qualify is dropped. The screen, and
+with it the filter, runs only while every positive feature of every point
+assigned lies in [2**-60, 2**60]; every centroid is then 0 or within
+[2**-113, 2**60] (counts below 2**53), which float32 holds as normal
+numbers. The mirror is built the first time the filter runs, after one
+check of the state's head rows, and kept in step by every create and join.
+The first point outside the range, or a state outside it, turns the screen
+and the filter off for the engine's lifetime, so no value outside it is
+ever cast; every point then scores every cluster in full.
 
 The per-cluster scan is vectorized with numpy, but every arithmetic step
 mirrors this module's :func:`feature_similarity` and the band check
@@ -137,23 +137,17 @@ def _head_rows(n: int, need: int) -> int:
     return max(9 * slack // 5, slack + 1)
 
 
-def _fixups(features: tuple[float, ...]) -> tuple[bool, bool]:
-    """Whether 100 * d overflows for any feature d, and whether any d is zero.
-
-    `in` compares with ==, so -0.0 counts as zero.
-    """
-    return 100.0 * max(features) == math.inf, 0.0 in features
-
-
 # Positive features in this range keep the float32 screen's operands normal.
 _SCREEN_MIN, _SCREEN_MAX = 2.0**-60, 2.0**60
 
 
-def _screen_fixups(features: tuple[float, ...]) -> tuple[bool, bool, bool]:
-    """:func:`_fixups` from one max and one min pass, and whether every
-    positive feature lies in [_SCREEN_MIN, _SCREEN_MAX]. Features are >= 0,
-    so a min of 0 (or -0.0) means a zero feature; only then does a second
-    pass find the smallest positive one.
+def _fixups(features: tuple[float, ...]) -> tuple[bool, bool, bool]:
+    """Whether 100 * d overflows for any feature d, whether any d is zero,
+    and whether every positive d lies in [_SCREEN_MIN, _SCREEN_MAX].
+
+    One max and one min pass. Features are >= 0, so a min of 0 (or -0.0)
+    means a zero feature; only then does a second pass find the smallest
+    positive one.
     """
     top, low = max(features), min(features)
     zeros = low == 0.0
@@ -197,7 +191,7 @@ class ClusteringEngine:
         self._count_type = np.min_scalar_type(self._n)
         self._head = _head_rows(self._n, self._need)
         self._head_need = self._head - (self._n - self._need)
-        self._screens = True  # until a value outside the screen's range
+        self._screens = True  # and with it the filter, until a value out of range
         self._cents32: np.ndarray | None = None  # the head rows' float32 mirror
         self._points_seen = 0
         self._sums = np.zeros((0, self._n), dtype=np.float64)
@@ -276,16 +270,15 @@ class ClusteringEngine:
             err.point_seq = seq
             raise
         f = np.asarray(dp.features, dtype=np.float64)
+        overflows, zeros, in_range = _fixups(dp.features)
+        if not in_range:
+            self._screens, self._cents32 = False, None
         n, m = self._n, self._head
-        filtering = m < n and (n - m) * len(self._counts) >= _FILTER_MIN_SKIPPED
-        if filtering and self._cents32 is None and self._screens:
-            self._start_screen()
-        if self._cents32 is None:
-            overflows, zeros = _fixups(dp.features)
-        else:
-            overflows, zeros, in_range = _screen_fixups(dp.features)
-            if not in_range:
-                self._screens, self._cents32 = False, None
+        filtering = (
+            self._screens and m < n and (n - m) * len(self._counts) >= _FILTER_MIN_SKIPPED
+        )
+        if filtering and self._cents32 is None:
+            filtering = self._start_screen()
 
         # Score against the state as it stood before this point; once k is
         # large, only the clusters that pass the count filter (module doc).
@@ -293,11 +286,7 @@ class ClusteringEngine:
             if filtering:
                 # ascending: the kept columns stay in creation order, so an
                 # exact tie still goes to the earliest cluster
-                if self._cents32 is not None:
-                    kept = self._screen(f, zeros)
-                else:
-                    head = self._score(f[:m], self._cents[:m], overflows, zeros)[2]
-                    kept = (head >= self._head_need).nonzero()[0]
+                kept = self._screen(f, zeros)
                 cents = self._cents[:, kept]
             else:
                 kept, cents = None, self._cents
@@ -379,7 +368,7 @@ class ClusteringEngine:
         dp = self._coerce(point)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             f = np.asarray(dp.features, dtype=np.float64)
-            sims, band, matched = self._score(f, self._cents, *_fixups(dp.features))
+            sims, band, matched = self._score(f, self._cents, *_fixups(dp.features)[:2])
             # min(v, 200 - v) is v up to 100 and 200 - v above it
             folded = np.where(band, np.minimum(sims, 200.0 - sims), 0.0)
             avgs = np.add.accumulate(folded, axis=0)[-1] / matched
@@ -388,53 +377,54 @@ class ClusteringEngine:
     # -- internals ---------------------------------------------------------
 
     def _score(
-        self, f: np.ndarray, cents: np.ndarray, overflows: bool, zeros: bool
+        self, f: np.ndarray, cents: np.ndarray, overflows: bool, zeros: bool, screen: bool = False
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Similarities, band mask and matched counts of point rows f, n by k.
 
-        ``f`` holds the point's values as float64 for the rows of ``cents``,
-        all n of them or the count filter's first m. ``overflows`` and
-        ``zeros`` are :func:`_fixups` of the whole point, taken once per
-        point. Callers hold np.errstate with divide, invalid and over ignored.
+        ``f`` holds the point's values as float64 for the rows of ``cents``.
+        ``overflows`` and ``zeros`` are :func:`_fixups` of the whole point,
+        taken once per point. With ``screen``, ``cents`` is the float32
+        mirror, and the scaled point is cast to float32 and counted against
+        the widened float32 band (:meth:`_screen`). Callers hold np.errstate
+        with divide, invalid and over ignored.
         """
-        sims = (100.0 * f)[:, None] / cents
+        if screen:
+            lo, hi, num = self._lo32, self._hi32, (100.0 * f).astype(np.float32)
+        else:
+            lo, hi, num = self._lo, self._hi, 100.0 * f
+        sims = num[:, None] / cents
         # 100 * d overflows for d above about 1.8e306: those rows divide
         # first, as 100 * (d / c)
         if overflows:
-            for j in np.isinf(100.0 * f).nonzero()[0]:
+            for j in np.isinf(num).nonzero()[0]:
                 sims[j] = 100.0 * (f[j] / cents[j])
         # zero centroid feature: an exactly-zero point value is identical
         # (similarity 100, fixed up here from the nan of 0/0); a positive
         # one is undefined and the inf left by the division never falls
-        # inside the band.
+        # inside the band. The mirror is 0 exactly where the centroid is.
         if zeros:
             for j in (f == 0.0).nonzero()[0]:
                 row = sims[j]
                 row[cents[j] == 0.0] = 100.0
-        band = (sims >= self._lo) & (sims <= self._hi)
+        band = (sims >= lo) & (sims <= hi)
         matched = np.add.reduce(band.view(np.uint8), axis=0, dtype=self._count_type)
         return sims, band, matched
 
     def _screen(self, f: np.ndarray, zeros: bool) -> np.ndarray:
         """Ascending ids of the columns whose float32 head count reaches the
-        filter's need: every column the float64 head pass keeps, and maybe a
-        few more (module doc). ``f`` is the whole point as float64.
+        filter's need: every column that can qualify, and maybe a few more
+        (module doc). ``f`` is the whole point as float64, inside the
+        screen's range, so no feature overflows.
         """
-        m, cents = self._head, self._cents32
-        sims = (100.0 * f[:m]).astype(np.float32)[:, None] / cents
-        if zeros:  # as in _score; c32 is 0 exactly where c is
-            for j in (f[:m] == 0.0).nonzero()[0]:
-                row = sims[j]
-                row[cents[j] == 0.0] = 100.0
-        band = (sims >= self._lo32) & (sims <= self._hi32)
-        head = np.add.reduce(band.view(np.uint8), axis=0, dtype=self._count_type)
+        head = self._score(f[: self._head], self._cents32, False, zeros, True)[2]
         return (head >= self._head_need).nonzero()[0]
 
-    def _start_screen(self) -> None:
+    def _start_screen(self) -> bool:
         """Build the float32 mirror of the head rows if the state lies in the
         screen's range: every nonzero head sum at least _SCREEN_MIN, every
         head centroid at most _SCREEN_MAX and every count below 2**53.
-        Otherwise the screen stays off for good."""
+        Otherwise the screen, and with it the filter, stays off for good.
+        Returns whether the screen is on."""
         m = self._head
         sums = self._sums[:, :m]
         self._screens = (
@@ -448,6 +438,7 @@ class ClusteringEngine:
             self._lo32 = np.nextafter(np.float32(self._lo * (1 - 2.0**-20)), np.float32(0))
             self._hi32 = np.nextafter(np.float32(self._hi * (1 + 2.0**-20)), np.float32(np.inf))
             self._cents32 = self._cents[:m].astype(np.float32)
+        return self._screens
 
     def _coerce(self, point: DataPoint | Sequence[float]) -> DataPoint:
         if isinstance(point, DataPoint):

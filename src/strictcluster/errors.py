@@ -44,7 +44,7 @@ class FeatureSumOverflow(ClusteringError):
 
 class ParseError(ClusteringError):
     """A line of input text could not be parsed into a feature vector, or a
-    feature given to a DataPoint is not a number that float() converts."""
+    feature given to a DataPoint is no number it takes (see DataPoint)."""
 
     def __init__(self, message: str, column: int | None = None):
         super().__init__(message)

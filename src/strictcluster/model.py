@@ -52,31 +52,36 @@ class Config:
         object.__setattr__(self, "strictness", float(s))
 
 
+def _as_float(value: object, position: int) -> float:
+    """float(value) for the feature at ``position``, 1-based; ParseError for a
+    str, bytes, bytearray or bool, and for what float() cannot convert."""
+    if not isinstance(value, (str, bytes, bytearray, bool)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ParseError(f"feature {position} cannot be read as a float: {_shown(value)}")
+
+
 @dataclass(frozen=True, slots=True)
 class DataPoint:
     """One arrival in the stream: its features and optional label. Its stream
     position is numbered by the engine, as ``outcome.point_seq``.
 
-    The features are stored as floats and must be finite and nonnegative; a
-    feature that float() cannot convert raises ParseError.
+    The features are stored as floats and must be finite and nonnegative. A
+    str, bytes, bytearray or bool feature, which the CLI's parsers refuse
+    although float() reads it, and one that float() cannot convert raise
+    ParseError, naming its position.
     """
 
     features: tuple[float, ...]
     label: str | None = None  # optional caller-supplied id, carried through outputs
 
     def __post_init__(self):
-        try:
-            vals = tuple(map(float, self.features))
-        except (TypeError, ValueError, OverflowError) as err:
-            for j, v in enumerate(self.features, start=1):
-                try:
-                    float(v)
-                except (TypeError, ValueError, OverflowError):
-                    raise ParseError(
-                        f"feature {j} cannot be read as a float: {_shown(v)}"
-                    ) from None
-            # an iterator, which the failed pass used up: no position to name
-            raise ParseError(f"a feature cannot be read as a float: {err}") from None
+        vals = tuple(self.features)
+        # every point the CLI builds is all floats: one type pass, no float()
+        if not {float}.issuperset(map(type, vals)):
+            vals = tuple(map(_as_float, vals, range(1, len(vals) + 1)))
         # A finite sum rules out nan and inf. The loop names the first bad
         # feature, and also accepts a finite vector whose sum overflows. An
         # empty vector skips it, as min() of nothing fails; the truth test is

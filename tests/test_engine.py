@@ -86,24 +86,18 @@ def force_count_filter(monkeypatch):
 
 
 @pytest.fixture
-def head_paths(monkeypatch):
-    """A list that gets, for each assign that count-filters, which head pass
-    ran: "float32" for the screen, "float64" for the full kernel's head rows."""
-    paths = []
-    screen, score = ClusteringEngine._screen, ClusteringEngine._score
+def screened(monkeypatch):
+    """A list that gets the seq of each point that assign count-filters: the
+    float32 screen is the filter's one head pass."""
+    seqs = []
+    screen = ClusteringEngine._screen
 
-    def screen_spy(self, *args):
-        paths.append("float32")
+    def spy(self, *args):
+        seqs.append(self.points_seen)
         return screen(self, *args)
 
-    def score_spy(self, f, *args):
-        if f.size < self._n:
-            paths.append("float64")
-        return score(self, f, *args)
-
-    monkeypatch.setattr(ClusteringEngine, "_screen", screen_spy)
-    monkeypatch.setattr(ClusteringEngine, "_score", score_spy)
-    return paths
+    monkeypatch.setattr(ClusteringEngine, "_screen", spy)
+    return seqs
 
 
 class TestShouldMatch:
@@ -318,9 +312,10 @@ class TestStreamDiscipline:
             (NegativeFeature, Config(60.0, 2), [[1.0, 2.0], [3.0, 4.0], [1.0, -2]], 2),
             (FeatureSumOverflow, Config(50.0, 1), [[1e308], [1e308]], 1),
         ] + [
-            # a feature float() refuses, 10**5000 too long even for repr()
+            # a feature float() refuses, 10**5000 too long even for repr(),
+            # or one float() reads but the CLI's parsers refuse
             (ParseError, Config(60.0, 1), [[1.0], [bad]], 1)
-            for bad in ["x", None, [1.0], 1 + 2j, 10**400, 10**5000]
+            for bad in ["x", None, [1.0], 1 + 2j, 10**400, 10**5000, "1.5", True, b"2"]
         ]
         for error, config, points, seq in cases:
             with pytest.raises(error) as exc:
@@ -447,7 +442,7 @@ def kernel_avgs(eng, features):
     """_qualifying_avg of every cluster that matches, from the kernel's matrices."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f = np.asarray(features, dtype=np.float64)
-        sims, band, matched = eng._score(f, eng._cents, *_fixups(features))
+        sims, band, matched = eng._score(f, eng._cents, *_fixups(features)[:2])
     return [
         _qualifying_avg(sims, band, i) if c else None for i, c in enumerate(matched.tolist())
     ]
@@ -715,7 +710,7 @@ class TestAgainstNaiveReference:
     @pytest.mark.parametrize("on", [True, False], ids=["filter-on", "filter-off"])
     @pytest.mark.parametrize("name", list(FILTER_STREAMS))
     def test_count_filter_forced_agrees_exactly(
-        self, name, on, force_count_filter, head_paths
+        self, name, on, force_count_filter, screened
     ):
         # the filter drops only clusters that cannot qualify, so forced on at
         # every k or off it must give the oracle's outcomes bit for bit
@@ -725,14 +720,13 @@ class TestAgainstNaiveReference:
             if name == "anchored-n100-s75":  # the filter runs here unforced
                 m = _head_rows(n, should_match_features(Config(strictness, n)))
                 assert m < n and (n - m) * len(state.clusters) >= FILTER_MIN_SKIPPED
-        if on:
+        # features past 2**60 keep the float32 screen, and so the filter, off
+        if on and name != "extreme-magnitudes":
             assert max(pruned) > 0  # no case passes without pruning a column
-            # features past 2**60 keep the float32 screen off
-            want = "float64" if name == "extreme-magnitudes" else "float32"
-            assert set(head_paths) == {want}
+            assert screened
         else:
             assert not any(pruned)
-            assert not head_paths
+            assert not screened
 
 
 class TestCountFilter:
@@ -783,16 +777,19 @@ def engine_with_centroids(strictness, cents):
 
 
 def head_kept(eng, point):
-    """The columns that the float64 head pass and the float32 screen keep."""
-    f = np.asarray(point, dtype=np.float64)
-    overflows, zeros = _fixups(tuple(point))
-    m = eng._head
-    eng._start_screen()
-    assert eng._cents32 is not None
+    """The columns that a float64 head pass and the float32 screen keep. The
+    float64 head counts the oracle's in-band similarities on the first m
+    rows, the ones a cluster needs ``_head_need`` of to be able to qualify."""
+    m, lo, hi = eng._head, eng.config.strictness, 200.0 - eng.config.strictness
+    kept64 = []
+    for i, cent in enumerate(eng.centroids().tolist()):
+        sims = [naive_similarity(d, c) for d, c in zip(point[:m], cent[:m])]
+        if sum(sim is not None and lo <= sim <= hi for sim in sims) >= eng._head_need:
+            kept64.append(i)
+    assert eng._start_screen()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        head = eng._score(f[:m], eng._cents[:m], overflows, zeros)[2]
-        kept32 = eng._screen(f, zeros)
-    return (head >= eng._head_need).nonzero()[0].tolist(), kept32.tolist()
+        kept32 = eng._screen(np.asarray(point, dtype=np.float64), 0.0 in point)
+    return kept64, kept32.tolist()
 
 
 def assert_mirror_in_step(eng):
@@ -895,8 +892,43 @@ RANGE_VALUES = [
 ]
 
 
+def ulps_around(value):
+    return [math.nextafter(value, 0.0), value, math.nextafter(value, math.inf)]
+
+
+# The largest d for which 100 * d is finite.
+OVERFLOW_EDGE = 1.7976931348623156e306
+
+# Features at every edge _fixups decides on, and one ulp either side.
+FIXUP_EDGES = (
+    [0.0, -0.0, 5e-324, math.nextafter(5e-324, math.inf), sys.float_info.max]
+    + ulps_around(2.0**-60)
+    + ulps_around(2.0**60)
+    + ulps_around(OVERFLOW_EDGE)
+)
+
+
 class TestHeadScreen:
     """The count filter's float32 head screen (module doc of engine.py)."""
+
+    def test_the_overflow_edge_is_the_last_finite_100_d(self):
+        assert 100.0 * OVERFLOW_EDGE < math.inf
+        assert 100.0 * math.nextafter(OVERFLOW_EDGE, math.inf) == math.inf
+
+    @given(
+        st.lists(
+            st.sampled_from(FIXUP_EDGES) | st.floats(0.0, sys.float_info.max),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_fixups_match_their_plain_definitions(self, features):
+        f = tuple(features)
+        assert _fixups(f) == (
+            100.0 * max(f) == math.inf,
+            0.0 in f,
+            all(2.0**-60 <= v <= 2.0**60 for v in f if v > 0.0),
+        )
 
     @given(screen_cases())
     def test_screen_keeps_every_column_the_float64_head_keeps(self, case):
@@ -912,21 +944,21 @@ class TestHeadScreen:
             assert kept64 == ([0] if inside else [])
             assert set(kept64) <= set(kept32)
 
-    def test_band_edges_agree_with_the_oracle(self, force_count_filter, head_paths):
+    def test_band_edges_agree_with_the_oracle(self, force_count_filter, screened):
         force_count_filter(True)
         for strictness, inside, points in edge_streams():
-            del head_paths[:]
+            del screened[:]
             n = len(points[0])
             state = TestAgainstNaiveReference.assert_agrees(strictness, n, points)
             assert len(state.clusters) == (1 if inside else 2)
             m = _head_rows(n, should_match_features(Config(strictness, n)))
-            assert head_paths == (["float32"] * 2 if m < n else [])
+            assert screened == ([0, 1] if m < n else [])
 
     @pytest.mark.parametrize("value,in_range", RANGE_VALUES, ids=repr)
     def test_screen_stops_at_the_first_point_out_of_its_range(
-        self, value, in_range, force_count_filter, head_paths
+        self, value, in_range, force_count_filter, screened
     ):
-        force_count_filter(True)
+        pruned = force_count_filter(True)
         [(strictness, n, points)] = FILTER_STREAMS["anchored-n100-s75"]()
         at = 60
         special = list(points[at])
@@ -942,16 +974,18 @@ class TestHeadScreen:
                 assert eng._cents32 is None
         _, results = naive_run(strictness, n, stream)
         assert outcome_keys(outcomes) == results
-        after = "float32" if in_range else "float64"
-        assert head_paths == ["float32"] * at + [after] * (len(stream) - at)
+        # out of range, every later point scores every cluster in full
+        assert screened == list(range(len(stream) if in_range else at))
+        assert any(pruned[:at])
+        assert any(pruned[at:]) == in_range
 
     @pytest.mark.parametrize(
         "value,in_range",
         [(2.0**-60, True), (2.0**60, True), (math.nextafter(2.0**-60, 0.0), False), (2.0**61, False)],
         ids=repr,
     )
-    def test_a_loaded_state_out_of_its_range_keeps_the_float64_head(
-        self, value, in_range, force_count_filter, head_paths
+    def test_a_loaded_state_out_of_its_range_turns_the_filter_off(
+        self, value, in_range, force_count_filter, screened
     ):
         # a point with every feature at value founds a cluster, so its head
         # sums (or centroid) sit at value; the unforced filter is off at this
@@ -960,22 +994,23 @@ class TestHeadScreen:
         stream = points[:40] + [[value] * n] + points[40:100]
         head = ClusteringEngine(Config(strictness, n))
         founded = [head.assign(p) for p in stream[:50]][40]
-        assert head._cents32 is None and not head_paths
+        assert head._cents32 is None and not screened
         assert founded.created_new
         assert head.cluster(founded.assigned_cluster_id).feature_sums == (value,) * n
 
-        force_count_filter(True)
+        pruned = force_count_filter(True)
         eng = ClusteringEngine.from_state(head.state())
         tail = [eng.assign(p) for p in stream[50:]]
         _, results = naive_run(strictness, n, stream)
         assert outcome_keys(tail) == results[50:]
-        assert head_paths == ["float32" if in_range else "float64"] * len(tail)
+        assert screened == (list(range(50, len(stream))) if in_range else [])
+        assert any(pruned) == in_range
         if in_range:
             assert_mirror_in_step(eng)
         else:
             assert eng._cents32 is None
 
-    def test_the_mirror_stays_in_step_across_a_resume(self, head_paths):
+    def test_the_mirror_stays_in_step_across_a_resume(self, screened):
         # the bench's wide shape, unforced: the filter starts at k = 182
         points = anchored_points(
             random.Random(75), 400, 100, n_anchors=250, spread=0.15, outlier_rate=0.04
@@ -984,9 +1019,9 @@ class TestHeadScreen:
         eng = ClusteringEngine(config)
         for p in points[:300]:
             eng.assign(p)
-            if head_paths:
+            if screened:
                 assert_mirror_in_step(eng)
-        assert 0 < len(head_paths) < 300
+        assert 0 < len(screened) < 300
 
         resumed = ClusteringEngine.from_state(eng.state())
         assert resumed._cents32 is None  # built by the first filtered assign
@@ -996,4 +1031,5 @@ class TestHeadScreen:
             assert resumed.assign(p) == eng.assign(p)
             assert_mirror_in_step(resumed)
         assert resumed.state() == eng.state()
-        assert set(head_paths) == {"float32"}
+        # both engines screened every point after the resume
+        assert screened[-200:] == sorted(list(range(300, 400)) * 2)

@@ -1,11 +1,13 @@
-"""The README's "Library use" section against the package it documents."""
+"""The README's "Library use" section, and its count-filter figures, against
+the package it documents."""
 
 import builtins
 import re
 from pathlib import Path
 
 import strictcluster
-from strictcluster import ClusteringError
+from strictcluster import ClusteringError, Config, should_match_features
+from strictcluster.engine import _FILTER_MIN_SKIPPED, _head_rows
 
 from golden import GOLDEN_ASSIGNMENTS, GOLDEN_POINTS
 
@@ -47,3 +49,16 @@ def test_library_use_names_only_public_names():
     assert "ClusteringEngine" in names  # the pattern finds what it should
     for name in names:
         assert name in strictcluster.__all__ or hasattr(builtins, name), name
+
+
+def test_count_filter_start_points_match_the_engine():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    [skipped] = re.findall(r"number at least ([\d,]+): for `n = ", text)
+    assert int(skipped.replace(",", "")) == _FILTER_MIN_SKIPPED
+    starts = re.findall(r"`n = (\d+), s = (\d+)` \(`m = (\d+)`\) from `k = ([\d,]+)` on", text)
+    assert len(starts) == 2
+    for n, s, m, k in starts:
+        n, m, k = int(n), int(m), int(k.replace(",", ""))
+        assert _head_rows(n, should_match_features(Config(float(s), n))) == m
+        # k is the first cluster count at which the filter skips enough rows
+        assert (n - m) * (k - 1) < _FILTER_MIN_SKIPPED <= (n - m) * k
