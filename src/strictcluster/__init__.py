@@ -4,81 +4,66 @@ Each incoming point is scored feature-by-feature against every live
 centroid; a configurable strictness percentage decides whether the point
 joins its best-matching cluster or founds a new one. The package exposes
 the engine, stream ingestion, snapshot persistence, and a CLI wrapper.
+
+Importing the package loads no submodule and no numpy (PEP 562): a public
+name imports its submodule the first time it is read. So the process entry
+(:func:`strictcluster._entry.process_main`) runs before numpy is imported,
+and can import the CLI with the cyclic collector off.
 """
 
-from .engine import (
-    ClusteringEngine,
-    feature_similarity,
-    qualifying_range,
-    run_stream,
-    should_match_features,
-)
-from .errors import (
-    BadDimensionality,
-    ChecksumMismatch,
-    ClusteringError,
-    DimensionMismatch,
-    FeatureSumOverflow,
-    InvariantViolation,
-    NegativeFeature,
-    NonFiniteFeature,
-    ParseError,
-    SnapshotError,
-    SnapshotFormatError,
-    StrictnessOutOfRange,
-    VersionUnsupported,
-)
-from .ingestion import PointStream
-from .model import (
-    AssignmentOutcome,
-    Cluster,
-    ClusterState,
-    Config,
-    DataPoint,
-    DecisionPath,
-    validate_point,
-    verify_state,
-)
-from .persistence import (
-    SNAPSHOT_FORMAT,
-    SNAPSHOT_VERSION,
-    load_snapshot,
-    save_snapshot,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssignmentOutcome",
-    "BadDimensionality",
-    "ChecksumMismatch",
-    "Cluster",
-    "ClusterState",
-    "ClusteringEngine",
-    "ClusteringError",
-    "Config",
-    "DataPoint",
-    "DecisionPath",
-    "DimensionMismatch",
-    "FeatureSumOverflow",
-    "InvariantViolation",
-    "NegativeFeature",
-    "NonFiniteFeature",
-    "ParseError",
-    "PointStream",
-    "SNAPSHOT_FORMAT",
-    "SNAPSHOT_VERSION",
-    "SnapshotError",
-    "SnapshotFormatError",
-    "StrictnessOutOfRange",
-    "VersionUnsupported",
-    "feature_similarity",
-    "load_snapshot",
-    "qualifying_range",
-    "run_stream",
-    "save_snapshot",
-    "should_match_features",
-    "validate_point",
-    "verify_state",
-    "__version__",
-]
+# each public name and the submodule that defines it, in __all__'s order
+_SUBMODULE = {
+    "AssignmentOutcome": "model",
+    "BadDimensionality": "errors",
+    "ChecksumMismatch": "errors",
+    "Cluster": "model",
+    "ClusterState": "model",
+    "ClusteringEngine": "engine",
+    "ClusteringError": "errors",
+    "Config": "model",
+    "DataPoint": "model",
+    "DecisionPath": "model",
+    "DimensionMismatch": "errors",
+    "FeatureSumOverflow": "errors",
+    "InvariantViolation": "errors",
+    "NegativeFeature": "errors",
+    "NonFiniteFeature": "errors",
+    "ParseError": "errors",
+    "PointStream": "ingestion",
+    "SNAPSHOT_FORMAT": "persistence",
+    "SNAPSHOT_VERSION": "persistence",
+    "SnapshotError": "errors",
+    "SnapshotFormatError": "errors",
+    "StrictnessOutOfRange": "errors",
+    "VersionUnsupported": "errors",
+    "feature_similarity": "engine",
+    "load_snapshot": "persistence",
+    "qualifying_range": "engine",
+    "run_stream": "engine",
+    "save_snapshot": "persistence",
+    "should_match_features": "engine",
+    "validate_point": "model",
+    "verify_state": "model",
+}
+
+__all__ = [*_SUBMODULE, "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    """A public name, from its submodule, imported on first use and then
+    kept here, so later reads do not come back to this function."""
+    try:
+        module = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return list(__all__)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
 import json
 import os
 import stat
@@ -441,19 +440,3 @@ def main(argv: list[str] | None = None) -> int:
         _note(f"{PROG}: error: {_diagnostic(err)}\n")
         return 1
 
-
-def process_main() -> int:
-    """The process entry of ``python -m strictcluster`` and the console script.
-
-    Importing this module has imported the package and numpy. gc.freeze()
-    moves every object they made out of the cyclic collector's reach, so
-    the run's full collections, and the one Python makes at exit, no
-    longer walk them: about 9 ms of an empty ``run``. main() does not
-    freeze, so an in-process caller keeps normal collection.
-    """
-    gc.freeze()
-    return main()
-
-
-if __name__ == "__main__":
-    sys.exit(process_main())

@@ -26,14 +26,16 @@ each is within 2**-24 of its float64 value, so the exact float32 quotient is
 within 1 +- 3.01 * 2**-24 of the float64 similarity, about 5x inside the
 margin; rounding is monotone, so every float64 in-band cell is in the
 screen's band and no cluster that can qualify is dropped. The screen, and
-with it the filter, runs only while every positive feature of every point
-assigned lies in [2**-60, 2**60]; every centroid is then 0 or within
-[2**-113, 2**60] (counts below 2**53), which float32 holds as normal
-numbers. The mirror is built the first time the filter runs, after one
-check of the state's head rows, and kept in step by every create and join.
-The first point outside the range, or a state outside it, turns the screen
-and the filter off for the engine's lifetime, so no value outside it is
-ever cast; every point then scores every cluster in full.
+with it the filter, runs only while its operands stay in range. Every point
+the filter scores must have every positive feature in [2**-60, 2**60], and
+when the screen starts, one check of the state's head rows covers every
+point before it: every nonzero head sum at least 2**-60, every head
+centroid at most 2**60, every count below 2**53. Every head centroid is
+then 0 or within [2**-113, 2**60], which float32 holds as normal numbers.
+The mirror is built by that check and kept in step by every create and
+join. The first filtered point outside the range, or a state outside it,
+turns the screen and the filter off for the engine's lifetime, so no value
+outside it is ever cast; every point then scores every cluster in full.
 
 The per-cluster scan is vectorized with numpy, but every arithmetic step
 mirrors this module's :func:`feature_similarity` and the band check
@@ -141,14 +143,18 @@ def _head_rows(n: int, need: int) -> int:
 _SCREEN_MIN, _SCREEN_MAX = 2.0**-60, 2.0**60
 
 
-def _fixups(features: tuple[float, ...]) -> tuple[bool, bool, bool]:
+def _fixups(features: tuple[float, ...], ranged: bool) -> tuple[bool, bool, bool]:
     """Whether 100 * d overflows for any feature d, whether any d is zero,
-    and whether every positive d lies in [_SCREEN_MIN, _SCREEN_MAX].
+    and, with ``ranged``, whether every positive d lies in
+    [_SCREEN_MIN, _SCREEN_MAX] (True without it).
 
-    One max and one min pass. Features are >= 0, so a min of 0 (or -0.0)
-    means a zero feature; only then does a second pass find the smallest
-    positive one.
+    Without ``ranged``, one max and one ``in`` pass (`in` compares with ==,
+    so -0.0 counts as zero). With it, one max and one min pass: features are
+    >= 0, so a min of 0 (or -0.0) means a zero feature, and only then does a
+    second pass find the smallest positive one.
     """
+    if not ranged:
+        return 100.0 * max(features) == math.inf, 0.0 in features, True
     top, low = max(features), min(features)
     zeros = low == 0.0
     if zeros:
@@ -270,14 +276,17 @@ class ClusteringEngine:
             err.point_seq = seq
             raise
         f = np.asarray(dp.features, dtype=np.float64)
-        overflows, zeros, in_range = _fixups(dp.features)
-        if not in_range:
-            self._screens, self._cents32 = False, None
         n, m = self._n, self._head
         filtering = (
             self._screens and m < n and (n - m) * len(self._counts) >= _FILTER_MIN_SKIPPED
         )
-        if filtering and self._cents32 is None:
+        # the range matters only to a point the filter scores; the state
+        # check in _start_screen covers every point before the first
+        overflows, zeros, in_range = _fixups(dp.features, filtering)
+        if not in_range:
+            self._screens, self._cents32 = False, None
+            filtering = False
+        elif filtering and self._cents32 is None:
             filtering = self._start_screen()
 
         # Score against the state as it stood before this point; once k is
@@ -293,6 +302,8 @@ class ClusteringEngine:
             sims, band, matched = self._score(f, cents, overflows, zeros)
             qualified_ids = (matched >= self._need).nonzero()[0]
 
+            # the one to few qualifiers are compared as lists: cheaper than
+            # numpy calls on arrays of a few elements
             win_avg = None
             if qualified_ids.size == 0:
                 widx = -1
@@ -301,17 +312,18 @@ class ClusteringEngine:
                 widx = int(qualified_ids[0])
                 path = DecisionPath.SINGLE_QUALIFIED
             else:
-                top = matched[qualified_ids].max()
-                tied = qualified_ids[matched[qualified_ids] == top]
-                if tied.size == 1:
-                    widx = int(tied[0])
+                ids, counts = qualified_ids.tolist(), matched[qualified_ids].tolist()
+                top = max(counts)
+                tied = [i for i, c in zip(ids, counts) if c == top]
+                if len(tied) == 1:
+                    widx = tied[0]
                     path = DecisionPath.MAX_MATCHED
                 else:
                     # highest average; on an exact tie the earliest-created
                     # cluster (lowest id, the first maximum) keeps the point
-                    avgs = [_qualifying_avg(sims, band, i) for i in tied.tolist()]
+                    avgs = [_qualifying_avg(sims, band, i) for i in tied]
                     win_avg = max(avgs)
-                    widx = int(tied[avgs.index(win_avg)])
+                    widx = tied[avgs.index(win_avg)]
                     path = DecisionPath.AVG_TIEBREAK
             if widx >= 0:
                 # a winner qualified, so it matched at least one feature
@@ -368,7 +380,8 @@ class ClusteringEngine:
         dp = self._coerce(point)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             f = np.asarray(dp.features, dtype=np.float64)
-            sims, band, matched = self._score(f, self._cents, *_fixups(dp.features)[:2])
+            overflows, zeros, _ = _fixups(dp.features, False)
+            sims, band, matched = self._score(f, self._cents, overflows, zeros)
             # min(v, 200 - v) is v up to 100 and 200 - v above it
             folded = np.where(band, np.minimum(sims, 200.0 - sims), 0.0)
             avgs = np.add.accumulate(folded, axis=0)[-1] / matched

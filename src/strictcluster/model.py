@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     BadDimensionality,
     DimensionMismatch,
@@ -54,8 +56,9 @@ class Config:
 
 def _as_float(value: object, position: int) -> float:
     """float(value) for the feature at ``position``, 1-based; ParseError for a
-    str, bytes, bytearray or bool, and for what float() cannot convert."""
-    if not isinstance(value, (str, bytes, bytearray, bool)):
+    str, bytes, bytearray, bool or numpy bool, and for what float() cannot
+    convert."""
+    if not isinstance(value, (str, bytes, bytearray, bool, np.bool_)):
         try:
             return float(value)
         except (TypeError, ValueError, OverflowError):
@@ -69,16 +72,22 @@ class DataPoint:
     position is numbered by the engine, as ``outcome.point_seq``.
 
     The features are stored as floats and must be finite and nonnegative. A
-    str, bytes, bytearray or bool feature, which the CLI's parsers refuse
-    although float() reads it, and one that float() cannot convert raise
-    ParseError, naming its position.
+    str, bytes, bytearray, bool or numpy bool feature, which the CLI's
+    parsers refuse although float() reads it, and one that float() cannot
+    convert raise ParseError, naming its position; so do features that are
+    not iterable.
     """
 
     features: tuple[float, ...]
     label: str | None = None  # optional caller-supplied id, carried through outputs
 
     def __post_init__(self):
-        vals = tuple(self.features)
+        try:
+            vals = tuple(self.features)
+        except TypeError:
+            raise ParseError(
+                f"features must be an iterable of numbers, got {_shown(self.features)}"
+            ) from None
         # every point the CLI builds is all floats: one type pass, no float()
         if not {float}.issuperset(map(type, vals)):
             vals = tuple(map(_as_float, vals, range(1, len(vals) + 1)))
@@ -101,11 +110,15 @@ def validate_point(
     label: str | None = None,
 ) -> DataPoint:
     """Check a feature vector's width against the config and wrap it as a
-    DataPoint, which checks its values."""
-    if len(features) != config.n_features:
-        raise DimensionMismatch(
-            f"expected {config.n_features} features, got {len(features)}"
-        )
+    DataPoint, which checks its values. ParseError for what has no width."""
+    try:
+        width = len(features)
+    except TypeError:
+        raise ParseError(
+            f"a point must be a sequence of features, got {_shown(features)}"
+        ) from None
+    if width != config.n_features:
+        raise DimensionMismatch(f"expected {config.n_features} features, got {width}")
     return DataPoint(features, label)
 
 

@@ -27,7 +27,7 @@ from strictcluster import (
     feature_similarity,
     save_snapshot,
 )
-from strictcluster import cli
+from strictcluster import _entry, cli
 from strictcluster.cli import (
     TRACE_LIMIT,
     _assignment_record,
@@ -1030,12 +1030,15 @@ class TestProcessEntry:
         seen = []
 
         def fake_main():
-            seen.append(gc.get_freeze_count())
+            seen.append((gc.get_freeze_count(), gc.isenabled()))
             return 7
 
         monkeypatch.setattr(cli, "main", fake_main)
-        assert cli.process_main() == 7
-        assert len(seen) == 1 and seen[0] > before
+        assert _entry.process_main() == 7
+        assert len(seen) == 1
+        frozen, enabled = seen[0]
+        assert frozen > before and enabled
+        assert gc.isenabled()
 
     def test_main_in_process_freezes_nothing(self, golden_csv, tmp_path):
         before = gc.get_freeze_count()

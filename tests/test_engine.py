@@ -311,11 +311,15 @@ class TestStreamDiscipline:
             (DimensionMismatch, Config(60.0, 2), [[1.0, 2.0], [1.0, 2.0, 3.0]], 1),
             (NegativeFeature, Config(60.0, 2), [[1.0, 2.0], [3.0, 4.0], [1.0, -2]], 2),
             (FeatureSumOverflow, Config(50.0, 1), [[1e308], [1e308]], 1),
+            # a point that is no sequence of features
+            (ParseError, Config(60.0, 1), [[1.0], 5], 1),
+            (ParseError, Config(60.0, 1), [[1.0], [2.0], np.array(5.0)], 2),
         ] + [
             # a feature float() refuses, 10**5000 too long even for repr(),
             # or one float() reads but the CLI's parsers refuse
             (ParseError, Config(60.0, 1), [[1.0], [bad]], 1)
-            for bad in ["x", None, [1.0], 1 + 2j, 10**400, 10**5000, "1.5", True, b"2"]
+            for bad in ["x", None, [1.0], 1 + 2j, 10**400, 10**5000, "1.5", True, b"2",
+                        np.bool_(False)]
         ]
         for error, config, points, seq in cases:
             with pytest.raises(error) as exc:
@@ -442,7 +446,7 @@ def kernel_avgs(eng, features):
     """_qualifying_avg of every cluster that matches, from the kernel's matrices."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f = np.asarray(features, dtype=np.float64)
-        sims, band, matched = eng._score(f, eng._cents, *_fixups(features)[:2])
+        sims, band, matched = eng._score(f, eng._cents, *_fixups(features, False)[:2])
     return [
         _qualifying_avg(sims, band, i) if c else None for i, c in enumerate(matched.tolist())
     ]
@@ -924,10 +928,10 @@ class TestHeadScreen:
     )
     def test_fixups_match_their_plain_definitions(self, features):
         f = tuple(features)
-        assert _fixups(f) == (
-            100.0 * max(f) == math.inf,
-            0.0 in f,
-            all(2.0**-60 <= v <= 2.0**60 for v in f if v > 0.0),
+        flags = (100.0 * max(f) == math.inf, 0.0 in f)
+        assert _fixups(f, False) == (*flags, True)
+        assert _fixups(f, True) == (
+            *flags, all(2.0**-60 <= v <= 2.0**60 for v in f if v > 0.0)
         )
 
     @given(screen_cases())
@@ -979,17 +983,19 @@ class TestHeadScreen:
         assert any(pruned[:at])
         assert any(pruned[at:]) == in_range
 
+    @pytest.mark.parametrize("resumed", [True, False], ids=["resumed", "in-process"])
     @pytest.mark.parametrize(
         "value,in_range",
         [(2.0**-60, True), (2.0**60, True), (math.nextafter(2.0**-60, 0.0), False), (2.0**61, False)],
         ids=repr,
     )
     def test_a_loaded_state_out_of_its_range_turns_the_filter_off(
-        self, value, in_range, force_count_filter, screened
+        self, value, in_range, resumed, force_count_filter, screened
     ):
         # a point with every feature at value founds a cluster, so its head
         # sums (or centroid) sit at value; the unforced filter is off at this
-        # k, so the state holds them without the screen having seen them
+        # k, so the state holds them without the screen having seen them, and
+        # only the state check at the first filtered point can turn it off
         [(strictness, n, points)] = FILTER_STREAMS["anchored-n100-s75"]()
         stream = points[:40] + [[value] * n] + points[40:100]
         head = ClusteringEngine(Config(strictness, n))
@@ -999,7 +1005,7 @@ class TestHeadScreen:
         assert head.cluster(founded.assigned_cluster_id).feature_sums == (value,) * n
 
         pruned = force_count_filter(True)
-        eng = ClusteringEngine.from_state(head.state())
+        eng = ClusteringEngine.from_state(head.state()) if resumed else head
         tail = [eng.assign(p) for p in stream[50:]]
         _, results = naive_run(strictness, n, stream)
         assert outcome_keys(tail) == results[50:]
@@ -1009,6 +1015,26 @@ class TestHeadScreen:
             assert_mirror_in_step(eng)
         else:
             assert eng._cents32 is None
+
+    def test_a_point_out_of_range_before_the_filter_starts_does_not_stop_it(
+        self, force_count_filter, screened
+    ):
+        # only the state's head rows meet the screen, so a value past the
+        # range in a later feature of a point the filter never scored leaves
+        # the state check nothing to refuse
+        [(strictness, n, points)] = FILTER_STREAMS["anchored-n100-s75"]()
+        stream = points[:40] + [points[40][:-1] + [2.0**61]] + points[41:100]
+        eng = ClusteringEngine(Config(strictness, n))
+        head = [eng.assign(p) for p in stream[:50]]
+        assert eng._screens and eng._cents32 is None and not screened
+
+        pruned = force_count_filter(True)
+        tail = [eng.assign(p) for p in stream[50:]]
+        _, results = naive_run(strictness, n, stream)
+        assert outcome_keys(head + tail) == results
+        assert screened == list(range(50, len(stream)))
+        assert any(pruned)
+        assert_mirror_in_step(eng)
 
     def test_the_mirror_stays_in_step_across_a_resume(self, screened):
         # the bench's wide shape, unforced: the filter starts at k = 182

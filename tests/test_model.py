@@ -147,7 +147,15 @@ class TestDataPoint:
          ((False,), ParseError, "feature 1 cannot be read as a float: False"),
          ((1.0, b"2"), ParseError, "feature 2 cannot be read as a float: b'2'"),
          ((1.0, bytearray(b"2")), ParseError,
-          "feature 2 cannot be read as a float: bytearray(b'2')")],
+          "feature 2 cannot be read as a float: bytearray(b'2')"),
+         # a numpy bool is no bool subclass, but is refused as one
+         ((np.bool_(True), 2.0), ParseError,
+          f"feature 1 cannot be read as a float: {np.bool_(True)!r}"),
+         (np.array([2.0, 0.0]) > 1.0, ParseError,
+          f"feature 1 cannot be read as a float: {np.bool_(True)!r}"),
+         # no iterable of features at all
+         (5, ParseError, "features must be an iterable of numbers, got 5"),
+         (None, ParseError, "features must be an iterable of numbers, got None")],
     )
     def test_an_invalid_point_cannot_be_built(self, features, error, message):
         # refused here, or the engine would take it into a sum that no snapshot loads

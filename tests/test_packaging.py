@@ -1,7 +1,10 @@
 """Package metadata: the distribution and the package agree."""
 
 import importlib
+import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,19 +12,23 @@ import pytest
 
 import strictcluster
 
-tomllib = pytest.importorskip("tomllib")  # Python 3.11+
-
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
+def project():
+    """pyproject.toml's [project] table; the test skips before Python 3.11."""
+    tomllib = pytest.importorskip("tomllib")
+    return tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+
+
 def test_pyproject_names_the_package_and_its_version():
-    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
-    assert project["name"] == "strictcluster"
-    assert project["version"] == strictcluster.__version__
+    table = project()
+    assert table["name"] == "strictcluster"
+    assert table["version"] == strictcluster.__version__
 
 
 def test_the_console_script_names_the_entry_that_module_execution_calls(monkeypatch):
-    script = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["scripts"]
+    script = project()["scripts"]
     module, _, attr = script["strictcluster"].partition(":")
     calls = []
 
@@ -36,3 +43,89 @@ def test_the_console_script_names_the_entry_that_module_execution_calls(monkeypa
         runpy.run_module("strictcluster", run_name="__main__", alter_sys=False)
     assert calls == [attr]
     assert exc.value.code == 3
+
+
+SRC = PYPROJECT.parent / "src"
+
+
+def run_python(code, *args, **kwargs):
+    """Run ``code`` in a fresh interpreter that imports the package from src."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        **kwargs,
+    )
+
+
+def test_importing_the_package_loads_no_numpy_and_no_submodule():
+    code = (
+        "import sys, strictcluster; print(sorted(m for m in sys.modules "
+        "if m == 'numpy' or m.startswith(('numpy.', 'strictcluster.'))))"
+    )
+    proc = run_python(code)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("name", sorted(strictcluster._SUBMODULE))
+def test_every_public_name_is_its_submodule_object(name):
+    module = importlib.import_module(f"strictcluster.{strictcluster._SUBMODULE[name]}")
+    assert getattr(strictcluster, name) is getattr(module, name)
+
+
+def test_dir_lists_the_public_names_and_nothing_else_resolves():
+    assert dir(strictcluster) == sorted(strictcluster.__all__)
+    with pytest.raises(AttributeError, match="has no attribute 'process_main'"):
+        strictcluster.process_main
+
+
+def test_submodules_import_from_the_package():
+    from strictcluster import cli, engine
+
+    assert cli is sys.modules["strictcluster.cli"]
+    assert engine is sys.modules["strictcluster.engine"]
+    assert cli.main.__module__ == "strictcluster.cli"
+
+
+# Calls the console script's entry as the script would, and records the
+# collections that start between the entry's call and cli.main's call.
+ENTRY_PROBE = """
+import gc, importlib, json, sys
+
+module, attr = sys.argv[1].split(":")
+entry = getattr(importlib.import_module(module), attr)
+starts = []
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(1))
+at_entry = [None]
+at_main = []
+
+def profile(frame, event, arg):
+    if event != "call":
+        return
+    if frame.f_code is entry.__code__ and at_entry[0] is None:
+        at_entry[0] = len(starts)
+    elif (frame.f_code.co_name == "main" and not at_main
+          and frame.f_globals.get("__name__") == "strictcluster.cli"):
+        at_main.extend((len(starts), gc.isenabled(), gc.get_freeze_count()))
+
+sys.argv = ["strictcluster", "run", "--strictness", "60"]
+sys.setprofile(profile)
+code = entry()
+sys.setprofile(None)
+sys.stdout.flush()
+print(json.dumps({"code": code, "at_entry": at_entry[0], "at_main": at_main}), file=sys.stderr)
+"""
+
+
+def test_the_entry_imports_the_cli_without_a_collection_and_freezes_it():
+    script = project()["scripts"]
+    proc = run_python(ENTRY_PROBE, script["strictcluster"], input="1,2\n1,2.2\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count('"cluster_id":1,') == 2
+    seen = json.loads(proc.stderr)
+    starts_at_main, enabled, frozen = seen["at_main"]
+    assert seen["code"] == 0
+    assert starts_at_main == seen["at_entry"]  # the CLI's imports started no collection
+    assert enabled and frozen > 0
