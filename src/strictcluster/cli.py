@@ -59,14 +59,20 @@ def _fmt2(value: float) -> str:
     return text or "0"
 
 
-def _fmt2_array(values: np.ndarray) -> list[str]:
-    """_fmt2's text for every value of a flat float64 array, "undef" for nan.
+def _fmt2_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int], list[str]]:
+    """_fmt2's text for every value of a flat float64 array, "undef" for nan,
+    as lookups: (whole, hundredths, at, heads).
+
+    Value i's text is its integer part's text, _int_texts()[whole[i]], then
+    _HUNDREDTHS[hundredths[i]], except that at position at[j] the integer
+    part's text is heads[j]; whole is below 1000 everywhere.
 
     Below 2**40, y = 100 * v lies within 2**-14 of the exact product and
     y - rint(y) is exact, so where y is more than 2**-11 off a half, rint(y)
     is the integer count of hundredths that .2f prints. Those cells are
-    built from it; the rest (nan, -0.0, inf, 1.1e10 and above, near-halves)
-    go through _fmt2.
+    looked up from it, an integer part of 1000 or more through an f-string;
+    the rest (nan, -0.0, inf, 1.1e10 and above, near-halves) go through
+    _fmt2, with an empty tail.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         y = 100.0 * values
@@ -75,15 +81,30 @@ def _fmt2_array(values: np.ndarray) -> list[str]:
     slow = ~fast
     q[slow] = 0.0
     whole, hundredths = np.divmod(q.astype(np.int64), 100)
-    texts = [
-        f"{w}{_HUNDREDTHS[h]}" for w, h in zip(whole.tolist(), hundredths.tolist())
+    # q, not whole: no integer compare (see _TraceTexts)
+    at = ((q >= 100_000.0) | slow).nonzero()[0]
+    if not at.size:
+        return whole, hundredths, [], []
+    heads = [
+        f"{w}" if f else "undef" if v != v else _fmt2(v)
+        for w, f, v in zip(whole[at].tolist(), fast[at].tolist(), values[at].tolist())
     ]
-    if slow.any():
-        vals = values.tolist()
-        for i in slow.nonzero()[0].tolist():
-            v = vals[i]
-            texts[i] = "undef" if v != v else _fmt2(v)
-    return texts
+    whole[at] = 0
+    return whole, hundredths, at.tolist(), heads
+
+
+def _int_texts() -> tuple[str, ...]:
+    """The integer parts' texts, "0" to "999"."""
+    return tuple(map(str, range(1000)))
+
+
+def _fmt2_array(values: np.ndarray) -> list[str]:
+    """_fmt2's text for every value of a flat float64 array, "undef" for nan."""
+    whole, hundredths, at, heads = _fmt2_parts(values)
+    ints = list(map(_int_texts().__getitem__, whole.tolist()))
+    for i, head in zip(at, heads):
+        ints[i] = head
+    return [w + _HUNDREDTHS[h] for w, h in zip(ints, hundredths.tolist())]
 
 
 @contextlib.contextmanager
@@ -189,8 +210,56 @@ def _decision_text(outcome: AssignmentOutcome) -> str:
     return f"joins C{cid} (matched-count tie, best qualifying average {avg})"
 
 
+class _TraceTexts:
+    """The texts that one invocation's --trace tables are taken from, built at
+    its first traced point.
+
+    ``pool`` is one object array: the integer parts' texts "0" to "999"
+    (_int_texts), "" (EMPTY), then at the pool indices in ``spaced`` and
+    ``ended`` each hundredths tail with a space and with a newline after it,
+    at those in ``matched`` the matched texts for counts 0 to n, and last the
+    row labels (``labels``).
+
+    The trace adds and compares no integer arrays, so indices are taken from
+    these arrays: a run does no such arithmetic elsewhere, and the pages of
+    numpy's code for it would add to the run's peak memory (64 KB each for
+    the add and the compare, numpy 2.4 on x86-64).
+    """
+
+    EMPTY = 1000
+
+    def __init__(self, engine: ClusteringEngine):
+        cfg = engine.config
+        self.n = n = cfg.n_features
+        lo, hi = qualifying_range(cfg.strictness)
+        self.head = f"band [{_exact(lo)}, {_exact(hi)}], needs {engine.should_match} of {n}\n"
+        self._texts = [
+            *_int_texts(),
+            "",
+            *(t + " " for t in _HUNDREDTHS),
+            *(t + "\n" for t in _HUNDREDTHS),
+            " matched 0",
+            *(f" matched {c}  avg " for c in range(1, n + 1)),
+        ]
+        self.spaced = np.arange(1001, 1101)
+        self.ended = np.arange(1101, 1201)
+        self.matched = np.arange(1201, 1202 + n)
+        self._labels = np.arange(0)
+        self.pool = np.array(self._texts, dtype=object)
+
+    def labels(self, k: int) -> np.ndarray:
+        """The pool indices of rows 1 to k's labels, "[trace]   C1: " and on."""
+        have = self._labels.size
+        if k > have:
+            # room for twice k rows, so that the pool is rebuilt log(k) times
+            self._texts += (f"[trace]   C{i}: " for i in range(have + 1, 2 * k + 1))
+            self._labels = np.arange(len(self._texts) - 2 * k, len(self._texts))
+            self.pool = np.array(self._texts, dtype=object)
+        return self._labels[:k]
+
+
 def _print_trace(
-    engine: ClusteringEngine,
+    texts: _TraceTexts,
     dp: DataPoint,
     sims: np.ndarray,
     matched: np.ndarray,
@@ -198,29 +267,44 @@ def _print_trace(
     outcome: AssignmentOutcome,
 ) -> None:
     """Print dp's table: its similarity cells, matched count and qualifying
-    average against each cluster, then the decision."""
-    cfg = engine.config
-    n = cfg.n_features
-    lo, hi = qualifying_range(cfg.strictness)
+    average against each cluster, then the decision.
+
+    The k rows are one (k, 2n + 4) grid of indices into texts.pool: per row,
+    its label, each cell's integer part and its tail with a space, the
+    matched text, and the average's integer part and its tail with a
+    newline (_fmt2_parts). One take and one join make the rows; the cells
+    that _fmt2_parts spells out are written over the taken parts first.
+    """
     tag = f"point {outcome.point_seq}"
     if dp.label:
         # a newline or other control character in a label could forge lines
         label = dp.label if dp.label.isprintable() else json.dumps(dp.label)
         tag += f" ({label})"
-    lines = [
-        f"[trace] {tag}: band [{_exact(lo)}, {_exact(hi)}], "
-        f"needs {engine.should_match} of {n}"
-    ]
-    cells = _fmt2_array(np.concatenate((sims, avgs)))
-    avg_cells = cells[sims.size :]
-    for i, c in enumerate(matched.tolist()):
-        row = " ".join(cells[i * n : (i + 1) * n])
-        extra = f"  matched {c}  avg {avg_cells[i]}" if c else "  matched 0"
-        lines.append(f"[trace]   C{i + 1}: {row}{extra}")
-    lines.append(f"[trace]   -> {_decision_text(outcome)}\n")
-    # one write per point: stderr is line-buffered, so print() per row is a
-    # system call per row
-    _note("\n".join(lines))
+    rows = ""
+    k, n = matched.size, texts.n
+    if k:
+        has = matched.astype(bool)  # not matched > 0 (see _TraceTexts)
+        # per row, the n cells, then the average, or 0 where nothing matched
+        cells = np.concatenate((sims.reshape(k, n), np.where(has, avgs, 0.0)[:, None]), axis=1)
+        whole, hundredths, at, heads = _fmt2_parts(cells.ravel())
+        whole = whole.reshape(k, n + 1)
+        hundredths = hundredths.reshape(k, n + 1)
+        width = 2 * n + 4
+        grid = np.empty((k, width), dtype=np.intp)
+        grid[:, 0] = texts.labels(k)
+        grid[:, 1 : 2 * n : 2] = whole[:, :n]
+        grid[:, 2 : 2 * n + 1 : 2] = texts.spaced.take(hundredths[:, :n])
+        grid[:, 2 * n + 1] = texts.matched.take(matched)
+        grid[:, 2 * n + 2] = np.where(has, whole[:, n], texts.EMPTY)
+        grid[:, 2 * n + 3] = texts.ended.take(hundredths[:, n])
+        parts = texts.pool.take(grid.ravel()).tolist()
+        for i, head in zip(at, heads):
+            row, col = divmod(i, n + 1)
+            parts[row * width + 2 * col + 1 + (col == n)] = head
+        rows = "".join(parts)
+    # one write per point: stderr is line-buffered, so a write per row would
+    # be a system call per row
+    _note(f"[trace] {tag}: {texts.head}{rows}[trace]   -> {_decision_text(outcome)}\n")
 
 
 def _cluster_stream(
@@ -238,6 +322,7 @@ def _cluster_stream(
         on_skip=_report_skip if args.on_error == "skip" else None,
     )
     traced = 0
+    texts = None
     for dp in stream:
         if engine is None:
             engine = ClusteringEngine(stream.config)
@@ -251,7 +336,9 @@ def _cluster_stream(
             err.line_number = stream.line_number
             raise
         if do_trace:
-            _print_trace(engine, dp, sims, matched, avgs, outcome)
+            if texts is None:
+                texts = _TraceTexts(engine)
+            _print_trace(texts, dp, sims, matched, avgs, outcome)
             traced += 1
             if traced == TRACE_LIMIT:
                 _note(f"{PROG}: trace stopped after {TRACE_LIMIT} points\n")
@@ -348,11 +435,15 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     print(f"strictness: {_exact(state.config.strictness)}")
     print(f"features: {state.config.n_features}")
     print(f"points seen: {state.points_seen}")
-    n = len(state.clusters)
-    print(f"{n} cluster" + ("" if n == 1 else "s"))
-    for c in state.clusters:
-        cent = " ".join(_fmt2_array(np.array(c.centroid(), dtype=np.float64)))
-        print(f"C{c.id}: size {c.member_count}  centroid {cent}")
+    clusters = state.clusters
+    k, n = len(clusters), state.config.n_features
+    print(f"{k} cluster" + ("" if k == 1 else "s"))
+    # the IEEE division of Cluster.centroid(), for every cluster at once
+    sums = np.array([c.feature_sums for c in clusters], dtype=np.float64).reshape(k, n)
+    counts = np.array([c.member_count for c in clusters], dtype=np.float64)
+    cells = _fmt2_array((sums / counts[:, None]).ravel())
+    for i, c in enumerate(clusters):
+        print(f"C{c.id}: size {c.member_count}  centroid {' '.join(cells[i * n : (i + 1) * n])}")
     return 0
 
 

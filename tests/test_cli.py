@@ -133,6 +133,24 @@ class TestRun:
         assert code == 0
         assert "[trace]   C1: 1e+22 100  matched 1  avg 100\n" in err
 
+    def test_trace_writes_each_point_s_table_at_once(self, monkeypatch):
+        # stderr is line-buffered: a write per row would be a system call per row
+        writes = []
+        monkeypatch.setattr(cli, "_note", writes.append)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"1,2\n1,2.2\n5,9\n5,9.5\n")))
+        assert main(["run", "--strictness", "60", "--trace"]) == 0
+        head = "[trace] point {}: band [60, 140], needs 2 of 2\n"
+        assert writes == [  # k = 0, 1, 1 and 2 rows
+            head.format(0) + "[trace]   -> founds C1 (no qualifying cluster)\n",
+            head.format(1) + "[trace]   C1: 100 110  matched 2  avg 95\n"
+            "[trace]   -> joins C1 (only qualifying cluster)\n",
+            head.format(2) + "[trace]   C1: 500 428.57  matched 0\n"
+            "[trace]   -> founds C2 (no qualifying cluster)\n",
+            head.format(3) + "[trace]   C1: 500 452.38  matched 0\n"
+            "[trace]   C2: 100 105.56  matched 2  avg 97.22\n"
+            "[trace]   -> joins C2 (only qualifying cluster)\n",
+        ]
+
     def test_trace_stops_after_1000_points(self, tmp_path, capsys):
         data = tmp_path / "many.csv"
         data.write_text("7\n" * 1500)
@@ -756,7 +774,8 @@ class TestRendering:
         assert code == 0
         want, cells = render_trace(points, Config(60.0, 6))
         assert err == want
-        assert cells["undef"] > 0 and cells["0/0"] > 0
+        # and cells past the lookup table of integer parts (0 to 999)
+        assert cells["undef"] > 0 and cells["0/0"] > 0 and cells["1000+"] > 0
 
     def test_trace_matches_the_scalar_route_at_the_formatter_edges(self, tmp_path, capsys):
         # -0.0 against a positive centroid is a -0 cell; 1e300 against 1e-10
@@ -790,6 +809,23 @@ class TestRendering:
         want = ["undef" if v != v else _fmt2(v) for v in values]
         assert _fmt2_array(arr) == want
 
+    def test_fmt2_array_at_the_lookup_table_edges(self):
+        # the last integer part in the table (999) and the first past it, the
+        # hundredths either side of 999.995, and the fast path's cap
+        def ulps(v, count):
+            out, lo, hi = [v], v, v
+            for _ in range(count):
+                lo, hi = float(np.nextafter(lo, 0.0)), float(np.nextafter(hi, np.inf))
+                out += [lo, hi]
+            return out
+
+        values = [999.99, *ulps(999.995, 2), 1000.0, 1000.005, 99_999.995, *ulps(FAST_CAP, 2)]
+        texts = _fmt2_array(np.array(values, dtype=np.float64))
+        assert texts == [_fmt2(v) for v in values]
+        # 999.995 rounds up to 1000, the floats below it down to 999.99
+        assert texts[:10] == ["999.99", "1000", "999.99", "1000", "999.99", "1000",
+                              "1000", "1000", "99999.99", "10995116277.76"]
+
     @given(
         st.lists(st.integers(min_value=0, max_value=2**41), min_size=1, max_size=8),
         st.integers(min_value=1, max_value=8),
@@ -821,7 +857,7 @@ DECISIONS = {
 def render_trace(points, config):
     """The --trace stderr of a run, from feature_similarity and naive_profile."""
     eng = ClusteringEngine(config)
-    lines, cells = [], {"undef": 0, "0/0": 0}
+    lines, cells = [], {"undef": 0, "0/0": 0, "1000+": 0}
     band = f"[{_exact(config.strictness)}, {_exact(200.0 - config.strictness)}]"
     for seq, p in enumerate(points):
         dp = DataPoint(tuple(p))
@@ -835,9 +871,12 @@ def render_trace(points, config):
             row = []
             for d, c in zip(dp.features, cluster.centroid()):
                 sim = feature_similarity(d, c)
+                text = "undef" if sim is None else _fmt2(sim)
+                whole = text.partition(".")[0]
                 cells["undef"] += sim is None
                 cells["0/0"] += d == c == 0.0
-                row.append("undef" if sim is None else _fmt2(sim))
+                cells["1000+"] += whole.isdigit() and int(whole) >= 1000
+                row.append(text)
             matched, avg = profiles[cid] = naive_profile(
                 dp.features, cluster.centroid(), config.strictness
             )
