@@ -20,7 +20,12 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .engine import ClusteringEngine, feature_similarity, qualifying_range
+from .engine import (
+    ClusteringEngine,
+    feature_similarity,
+    qualifying_range,
+    should_match_features,
+)
 from .errors import ClusteringError
 from .ingestion import PointStream
 from .model import (
@@ -167,21 +172,25 @@ def _assignment_record(dp: DataPoint, outcome: AssignmentOutcome) -> str:
     )
 
 
-def _write_summary(out: IO[str], state: ClusterState | None) -> None:
+def _write_summary(
+    out: IO[str], engine: ClusteringEngine | None, state: ClusterState | None
+) -> None:
     """Write the summary record, the text json.dumps(..., separators=(",", ":"))
-    gives, one centroid at a time; None is the state of an empty input."""
+    gives, one centroid row of the engine at a time; ``state`` is the
+    engine's, and both are None for an empty input."""
     if state is None:
-        points_seen, clusters = 0, ()
+        points_seen, clusters, centroids = 0, (), ()
     else:
         points_seen, clusters = state.points_seen, state.clusters
+        centroids = engine.centroids()
     out.write(
         f'{{"kind":"summary","points_seen":{points_seen},'
         f'"clusters":{len(clusters)},'
         f'"sizes":[{",".join(str(c.member_count) for c in clusters)}],'
         '"centroids":['
     )
-    for i, c in enumerate(clusters):
-        out.write(("," if i else "") + json.dumps(c.centroid(), separators=(",", ":")))
+    for i, row in enumerate(centroids):
+        out.write(("," if i else "") + json.dumps(row.tolist(), separators=(",", ":")))
     out.write("]}\n")
 
 
@@ -232,7 +241,8 @@ class _TraceTexts:
         cfg = engine.config
         self.n = n = cfg.n_features
         lo, hi = qualifying_range(cfg.strictness)
-        self.head = f"band [{_exact(lo)}, {_exact(hi)}], needs {engine.should_match} of {n}\n"
+        need = should_match_features(cfg)
+        self.head = f"band [{_exact(lo)}, {_exact(hi)}], needs {need} of {n}\n"
         self._texts = [
             *_int_texts(),
             "",
@@ -418,7 +428,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         if engine is not None and (args.summary or args.snapshot_out):
             state = engine.state()
         if args.summary:
-            _write_summary(out, state)
+            _write_summary(out, engine, state)
     if args.snapshot_out:
         if state is None:
             _note(
@@ -438,10 +448,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     clusters = state.clusters
     k, n = len(clusters), state.config.n_features
     print(f"{k} cluster" + ("" if k == 1 else "s"))
-    # the IEEE division of Cluster.centroid(), for every cluster at once
-    sums = np.array([c.feature_sums for c in clusters], dtype=np.float64).reshape(k, n)
-    counts = np.array([c.member_count for c in clusters], dtype=np.float64)
-    cells = _fmt2_array((sums / counts[:, None]).ravel())
+    cells = _fmt2_array(ClusteringEngine.from_state(state).centroids().ravel())
     for i, c in enumerate(clusters):
         print(f"C{c.id}: size {c.member_count}  centroid {' '.join(cells[i * n : (i + 1) * n])}")
     return 0

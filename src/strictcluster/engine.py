@@ -63,12 +63,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ClusteringError,
-    DimensionMismatch,
-    FeatureSumOverflow,
-    InvariantViolation,
-)
+from .errors import ClusteringError, FeatureSumOverflow
 from .model import (
     AssignmentOutcome,
     Cluster,
@@ -231,29 +226,21 @@ class ClusteringEngine:
     def points_seen(self) -> int:
         return self._points_seen
 
-    @property
-    def should_match(self) -> int:
-        return self._need
-
     def centroids(self) -> np.ndarray:
-        """Copy of the current centroid matrix, one row per cluster in id order."""
+        """Copy of the current centroid matrix, one row per cluster in id order:
+        each cluster's feature sums divided by its member count, the IEEE
+        division s / count of every sum."""
         return self._cents.T.copy()
-
-    def cluster(self, cluster_id: int) -> Cluster:
-        """Materialize one cluster as an immutable value."""
-        i = cluster_id - 1
-        if not 0 <= i < self.cluster_count:
-            raise InvariantViolation(f"no cluster with id {cluster_id}")
-        return Cluster(
-            id=cluster_id,
-            member_count=self._counts[i],
-            feature_sums=tuple(self._sums[i].tolist()),
-            member_seqs=tuple(self._members[i]),
-        )
 
     def state(self) -> ClusterState:
         """Immutable snapshot of the full engine state."""
-        clusters = tuple(self.cluster(i + 1) for i in range(self.cluster_count))
+        # row by row: one tolist() of the whole matrix would hold every sum
+        # as a Python float at once
+        rows = zip(self._counts, self._sums, self._members)
+        clusters = tuple(
+            Cluster(i, count, tuple(sums.tolist()), tuple(members))
+            for i, (count, sums, members) in enumerate(rows, start=1)
+        )
         return ClusterState(
             config=self.config, clusters=clusters, points_seen=self._points_seen
         )
@@ -455,12 +442,9 @@ class ClusteringEngine:
 
     def _coerce(self, point: DataPoint | Sequence[float]) -> DataPoint:
         if isinstance(point, DataPoint):
-            if len(point.features) != self._n:
-                raise DimensionMismatch(
-                    f"point seq {self._points_seen} has {len(point.features)} "
-                    f"features, config expects {self._n}"
-                )
-            return point
+            if len(point.features) == self._n:
+                return point
+            point = point.features  # validate_point raises the width error
         return validate_point(point, self.config)
 
     def _create(self, f: np.ndarray, seq: int) -> int:

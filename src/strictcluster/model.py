@@ -126,17 +126,15 @@ def validate_point(
 class Cluster:
     """A cluster: running feature sums plus the members that produced them.
 
-    The centroid is always derived as sums/count rather than stored, so the
-    incremental mean never drifts from the exact member average.
+    No centroid is stored: the engine derives it as sums / count
+    (:meth:`ClusteringEngine.centroids`), so the incremental mean never
+    drifts from the exact member average.
     """
 
     id: int  # 1-based creation order
     member_count: int
     feature_sums: tuple[float, ...]
     member_seqs: tuple[int, ...]
-
-    def centroid(self) -> tuple[float, ...]:
-        return tuple(s / self.member_count for s in self.feature_sums)
 
 
 @dataclass(frozen=True, slots=True)

@@ -48,6 +48,11 @@ def profile_pairs(matched, avgs):
     return [(c, a if c else None) for c, a in zip(matched.tolist(), avgs.tolist())]
 
 
+def naive_centroid(cluster):
+    """A cluster value's centroid: each feature sum divided by its member count."""
+    return [s / cluster.member_count for s in cluster.feature_sums]
+
+
 def naive_should_match(strictness, n_features):
     """ceil(n * s / 100) with s read as the decimal that repr prints."""
     return math.ceil(Fraction(repr(float(strictness))) * n_features / 100)

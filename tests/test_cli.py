@@ -40,7 +40,7 @@ from strictcluster.cli import (
 
 from generators import anchored_points, throughput_points
 from golden import GOLDEN_CSV, GOLDEN_N_FEATURES, GOLDEN_POINTS, GOLDEN_STRICTNESS
-from reference import naive_profile, profile_pairs
+from reference import naive_centroid, naive_profile, naive_should_match, profile_pairs
 
 EXPECTED_CIDS = [1, 2, 1, 3, 3, 2]
 EXPECTED_CREATED = [True, True, False, True, False, False]
@@ -63,6 +63,26 @@ any_float = st.one_of(
 
 def records_of(text):
     return [json.loads(line) for line in text.splitlines() if line]
+
+
+def resumed_engine(case):
+    """An engine built by from_state and fed the rest of its stream, so its
+    centroids come from the load, a create or a join: "resume", the golden
+    stream split after three points; "negative-zero", a stream whose first
+    cluster keeps a -0.0 feature sum through the load and a join, and whose
+    last is created after the load with one."""
+    if case == "resume":
+        config, points, split = Config(GOLDEN_STRICTNESS, GOLDEN_N_FEATURES), GOLDEN_POINTS, 3
+    else:
+        config, split = Config(60.0, 2), 2
+        points = [(-0.0, 1.0), (-0.0, 1.1), (3.0, -0.0), (3.0, 0.0), (-0.0, 1.2), (7.0, -0.0)]
+    head = ClusteringEngine(config)
+    for p in points[:split]:
+        head.assign(p)
+    eng = ClusteringEngine.from_state(head.state())
+    for p in points[split:]:
+        eng.assign(p)
+    return eng
 
 
 class TestRun:
@@ -531,29 +551,37 @@ class TestSnapshotCommands:
         assert code == 0
         assert "C1: size 1  centroid 1e+306 1e+16 9999999999999998 0.5\n" in out
 
-    def test_inspect_prints_each_centroid_value_as_fmt2_does(self, tmp_path, capsys):
-        # -0.0, half hundredths and the floats either side of them, and values
-        # from 1e16 up; cluster 2's centroid is its sums divided by 3
-        halves = [0.125, 0.375, 1.005, 2.675, 0.045, 12345.675]
-        near = [float(np.nextafter(h, to)) for h in halves for to in (0.0, np.inf)]
-        sums = (-0.0, *halves, *near, 1e16, 2.5e17, 1e300)
-        state = ClusterState(
-            Config(60.0, len(sums)),
-            (Cluster(1, 1, sums, (0,)), Cluster(2, 3, tuple(3.0 * v for v in sums), (1, 2, 3))),
-            4,
-        )
-        snap = tmp_path / "edges.snap"
+    @pytest.mark.parametrize("case", ["edges", "resume", "negative-zero"])
+    def test_inspect_prints_each_centroid_value_as_fmt2_does(self, case, tmp_path, capsys):
+        if case == "edges":
+            # -0.0, half hundredths and the floats either side of them, and
+            # values from 1e16 up; cluster 2's centroid is its sums divided by 3
+            halves = [0.125, 0.375, 1.005, 2.675, 0.045, 12345.675]
+            near = [float(np.nextafter(h, to)) for h in halves for to in (0.0, np.inf)]
+            sums = (-0.0, *halves, *near, 1e16, 2.5e17, 1e300)
+            state = ClusterState(
+                Config(60.0, len(sums)),
+                (Cluster(1, 1, sums, (0,)), Cluster(2, 3, tuple(3.0 * v for v in sums), (1, 2, 3))),
+                4,
+            )
+        else:
+            state = resumed_engine(case).state()
+        snap = tmp_path / "centroids.snap"
         save_snapshot(state, snap)
         code = main(["inspect", "--snapshot-in", str(snap)])
         out, _ = capsys.readouterr()
         assert code == 0
         rows = out.splitlines()[4:]
         assert rows == [
-            f"C{c.id}: size {c.member_count}  centroid {' '.join(_fmt2(v) for v in c.centroid())}"
+            f"C{c.id}: size {c.member_count}  "
+            f"centroid {' '.join(_fmt2(v) for v in naive_centroid(c))}"
             for c in state.clusters
         ]
-        assert rows[0].split("centroid ")[1].split()[:5] == ["-0", "0.12", "0.38", "1", "2.67"]
-        assert rows[0].endswith(" 1e+16 2.5e+17 1e+300")
+        if case == "edges":
+            assert rows[0].split("centroid ")[1].split()[:5] == ["-0", "0.12", "0.38", "1", "2.67"]
+            assert rows[0].endswith(" 1e+16 2.5e+17 1e+300")
+        elif case == "negative-zero":
+            assert rows[0].startswith("C1: size 3  centroid -0 ")
 
     def test_resume_matches_uninterrupted_run(self, golden_csv, tmp_path, capsys):
         lines = GOLDEN_CSV.splitlines(keepends=True)
@@ -729,24 +757,28 @@ class TestRendering:
         got = _assignment_record(DataPoint((1.0,), label), outcome)
         assert got == json.dumps(rec, separators=(",", ":"))
 
-    @pytest.mark.parametrize("case", ["golden", "awkward-floats", "empty-input"])
+    @pytest.mark.parametrize(
+        "case", ["golden", "awkward-floats", "resume", "negative-zero", "empty-input"]
+    )
     def test_summary_record_is_the_one_shot_dump(self, case):
         if case == "golden":
             eng = ClusteringEngine(Config(GOLDEN_STRICTNESS, GOLDEN_N_FEATURES))
             for p in GOLDEN_POINTS:
                 eng.assign(p)
-            state = eng.state()
         elif case == "awkward-floats":
-            state = ClusterState(
+            eng = ClusteringEngine.from_state(ClusterState(
                 Config(60.0, 3),
                 (
                     Cluster(1, 3, (5e-324, 1e306, 0.0), (0, 1, 2)),
                     Cluster(2, 1, (0.1, 1.0 / 3.0, 7.0), (3,)),
                 ),
                 4,
-            )
+            ))
+        elif case == "empty-input":
+            eng = None  # no point arrived, so there is no engine
         else:
-            state = None  # no point arrived, so there is no engine
+            eng = resumed_engine(case)
+        state = None if eng is None else eng.state()
         if state is None:
             doc = {"kind": "summary", "points_seen": 0, "clusters": 0,
                    "sizes": [], "centroids": []}
@@ -756,11 +788,14 @@ class TestRendering:
                 "points_seen": state.points_seen,
                 "clusters": len(state.clusters),
                 "sizes": [c.member_count for c in state.clusters],
-                "centroids": [list(c.centroid()) for c in state.clusters],
+                "centroids": [naive_centroid(c) for c in state.clusters],
             }
         out = io.StringIO()
-        _write_summary(out, state)
+        _write_summary(out, eng, state)
         assert out.getvalue() == json.dumps(doc, separators=(",", ":")) + "\n"
+        if case == "negative-zero":
+            assert '"sizes":[3,2,1],"centroids":[[-0.0,' in out.getvalue()
+            assert out.getvalue().endswith(',[7.0,-0.0]]}\n')
 
     def test_trace_matches_a_table_rendered_from_the_scalar_route(self, tmp_path, capsys):
         # zero-heavy stream: undefined cells (c = 0 < d) and 0/0 cells (= 100)
@@ -863,13 +898,14 @@ def render_trace(points, config):
         dp = DataPoint(tuple(p))
         lines.append(
             f"[trace] point {seq}: band {band}, "
-            f"needs {eng.should_match} of {config.n_features}"
+            f"needs {naive_should_match(config.strictness, config.n_features)} "
+            f"of {config.n_features}"
         )
         profiles = {}
-        for cid in range(1, eng.cluster_count + 1):
-            cluster = eng.cluster(cid)
+        for cluster in eng.state().clusters:
+            cid, centroid = cluster.id, naive_centroid(cluster)
             row = []
-            for d, c in zip(dp.features, cluster.centroid()):
+            for d, c in zip(dp.features, centroid):
                 sim = feature_similarity(d, c)
                 text = "undef" if sim is None else _fmt2(sim)
                 whole = text.partition(".")[0]
@@ -877,9 +913,7 @@ def render_trace(points, config):
                 cells["0/0"] += d == c == 0.0
                 cells["1000+"] += whole.isdigit() and int(whole) >= 1000
                 row.append(text)
-            matched, avg = profiles[cid] = naive_profile(
-                dp.features, cluster.centroid(), config.strictness
-            )
+            matched, avg = profiles[cid] = naive_profile(dp.features, centroid, config.strictness)
             tail = "" if avg is None else f"  avg {_fmt2(avg)}"
             lines.append(f"[trace]   C{cid}: {' '.join(row)}  matched {matched}{tail}")
         outcome = eng.assign(dp)

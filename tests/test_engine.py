@@ -52,6 +52,7 @@ from golden import (
 )
 from reference import (
     NaiveClusterer,
+    naive_centroid,
     naive_profile,
     naive_run,
     naive_should_match,
@@ -174,7 +175,7 @@ class TestShouldMatch:
 class TestGoldenTrace:
     def test_step_by_step(self):
         eng = ClusteringEngine(GOLDEN_CONFIG)
-        assert eng.should_match == 6
+        assert should_match_features(eng.config) == 6
         for seq, point in enumerate(GOLDEN_POINTS):
             profiles = profile_pairs(*eng.profiles(point))
             outcome = eng.assign(point)
@@ -194,7 +195,7 @@ class TestGoldenTrace:
         assert len(state.clusters) == 3
         for cluster in state.clusters:
             assert cluster.member_seqs == GOLDEN_MEMBERSHIPS[cluster.id]
-            assert list(cluster.centroid()) == GOLDEN_CENTROIDS[cluster.id]
+            assert naive_centroid(cluster) == GOLDEN_CENTROIDS[cluster.id]
         verify_state(state, GOLDEN_POINTS)
 
     def test_run_stream_matches_manual_fold(self):
@@ -287,17 +288,20 @@ class TestExactness:
             cached = eng.centroids()
             for cluster in eng.state().clusters:
                 row = cached[cluster.id - 1]
-                derived = cluster.centroid()
-                assert all(a == b for a, b in zip(row.tolist(), derived))
+                # the bytes, so that -0.0 and 0.0 differ too
+                assert row.tobytes() == np.array(naive_centroid(cluster)).tobytes()
 
 
 class TestStreamDiscipline:
     def test_dimension_mismatch(self):
+        # a DataPoint of the wrong width is refused as a bare sequence is
         eng = ClusteringEngine(Config(60.0, 2))
+        for point in ([1.0], DataPoint(features=(1.0,))):
+            with pytest.raises(DimensionMismatch) as info:
+                eng.assign(point)
+            assert (str(info.value), info.value.point_seq) == ("expected 2 features, got 1", 0)
         with pytest.raises(DimensionMismatch):
             eng.assign([1.0, 2.0, 3.0])
-        with pytest.raises(DimensionMismatch):
-            eng.assign(DataPoint(features=(1.0,)))
 
     def test_bare_sequences_are_validated(self):
         eng = ClusteringEngine(Config(60.0, 2))
@@ -353,7 +357,7 @@ class TestStreamDiscipline:
         # the rejected point took no seq: the stream continues from it
         outcome = eng.assign([1.0, 1.0])
         assert outcome.point_seq == 179
-        assert eng.cluster(outcome.assigned_cluster_id).member_seqs[-1] == 179
+        assert eng.state().clusters[outcome.assigned_cluster_id - 1].member_seqs[-1] == 179
 
     def test_overflowing_similarity_warns_nothing(self):
         # 100 * 1e307 overflows, so that feature divides first and scores
@@ -547,7 +551,7 @@ class TestProfileRecording:
         tiebreaks = pairwise_differs = 0
         for seq, p in enumerate(make(random.Random(31))):
             dp = DataPoint(tuple(p))
-            centroids = [eng.cluster(cid).centroid() for cid in range(1, eng.cluster_count + 1)]
+            centroids = [naive_centroid(c) for c in eng.state().clusters]
             want = [naive_profile(dp.features, cent, strictness) for cent in centroids]
             matched, avgs = eng.profiles(dp)
             got = profile_pairs(matched, avgs)
@@ -659,7 +663,7 @@ class TestAgainstNaiveReference:
             assert got == want
             assert [list(c.member_seqs) for c in state.clusters] == clusterer.members
             for cluster in state.clusters:
-                assert list(cluster.centroid()) == clusterer.centroid(cluster.id - 1)
+                assert naive_centroid(cluster) == clusterer.centroid(cluster.id - 1)
 
     @staticmethod
     def assert_agrees(strictness, n, points):
@@ -668,7 +672,7 @@ class TestAgainstNaiveReference:
         assert outcome_keys(outcomes) == results
         assert [list(c.member_seqs) for c in state.clusters] == clusterer.members
         for cluster in state.clusters:
-            assert list(cluster.centroid()) == clusterer.centroid(cluster.id - 1)
+            assert naive_centroid(cluster) == clusterer.centroid(cluster.id - 1)
         return state
 
     def test_large_state_agrees_exactly(self):
@@ -1002,7 +1006,7 @@ class TestHeadScreen:
         founded = [head.assign(p) for p in stream[:50]][40]
         assert head._cents32 is None and not screened
         assert founded.created_new
-        assert head.cluster(founded.assigned_cluster_id).feature_sums == (value,) * n
+        assert head.state().clusters[founded.assigned_cluster_id - 1].feature_sums == (value,) * n
 
         pruned = force_count_filter(True)
         eng = ClusteringEngine.from_state(head.state()) if resumed else head

@@ -9,7 +9,7 @@ fraction of it.
 import random
 import tracemalloc
 
-from strictcluster import Cluster, ClusterState, Config, save_snapshot
+from strictcluster import Cluster, ClusteringEngine, ClusterState, Config, save_snapshot
 from strictcluster.cli import _write_summary
 
 
@@ -56,11 +56,12 @@ def test_save_snapshot_allocates_less_than_the_file(tmp_path):
 
 def test_summary_writer_allocates_less_than_the_record(tmp_path):
     state = wide_state()
+    engine = ClusteringEngine.from_state(state)
     path = tmp_path / "summary.jsonl"
 
     def write():
         with open(path, "w", encoding="utf-8", newline="\n") as out:
-            _write_summary(out, state)
+            _write_summary(out, engine, state)
 
     peak = peak_allocated(write)
     size = path.stat().st_size

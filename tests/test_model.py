@@ -190,10 +190,6 @@ def per_value_validate_point(features, config, label=None):
 
 
 class TestCluster:
-    def test_centroid_is_sums_over_count(self):
-        c = Cluster(id=1, member_count=4, feature_sums=(10.0, 2.0), member_seqs=(0, 1, 2, 3))
-        assert c.centroid() == (2.5, 0.5)
-
     def test_frozen(self):
         c = Cluster(id=1, member_count=1, feature_sums=(1.0,), member_seqs=(0,))
         with pytest.raises(dataclasses.FrozenInstanceError):
