@@ -3,9 +3,9 @@
 CSV: one point per line, comma-separated decimal reals in Python float
 syntax without ``_`` digit separators, optional single header line (detected
 when the first field of the first content line is not such a number).
-JSONL: one object per line with a required "features" array of numbers
-(an integer too large for a float is a parse error) and an optional "id"
-string kept as the point's label.
+JSONL: one object per line with a required "features" array, whose values
+DataPoint judges as it does any caller's, and an optional "id" string kept
+as the point's label.
 
 Input is bytes, read as UTF-8 and decoded here one line at a time; a line
 that is not valid UTF-8 is a bad line. A line ends at ``\n`` only; any
@@ -63,7 +63,8 @@ def parse_json(text: str) -> object:
         raise ParseError("invalid JSON: nested too deeply") from None
 
 
-def _parse_jsonl_fields(line: str) -> tuple[list[float], str | None]:
+def _parse_jsonl_fields(line: str) -> tuple[list, str | None]:
+    """The raw "features" list and the "id" of a JSONL line; DataPoint judges the values."""
     obj = parse_json(line)
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object")
@@ -72,31 +73,10 @@ def _parse_jsonl_fields(line: str) -> tuple[list[float], str | None]:
     feats = obj["features"]
     if not isinstance(feats, list):
         raise ParseError('"features" must be an array of numbers')
-    values = _jsonl_numbers(feats)
     label = obj.get("id")
     if label is not None and not isinstance(label, str):
         raise ParseError('"id" must be a string when present')
-    return values, label
-
-
-def _jsonl_numbers(feats: list) -> list[float]:
-    # type() rather than isinstance(): bool is an int subclass but not a number
-    if set(map(type, feats)) <= {float, int}:
-        try:
-            return list(map(float, feats))
-        except OverflowError:
-            pass  # the loop below names the column
-    values = []
-    for col, v in enumerate(feats, start=1):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ParseError(f'"features"[{col}]: {v!r} is not a number', column=col)
-        try:
-            values.append(float(v))
-        except OverflowError:
-            raise ParseError(
-                f'"features"[{col}]: integer too large for a float', column=col
-            ) from None
-    return values
+    return feats, label
 
 
 def _decode(raw: bytes) -> str:
@@ -160,10 +140,10 @@ class PointStream:
                     values, label = _parse_csv_fields(text), None
                 else:
                     values, label = _parse_jsonl_fields(text)
-                if self.config is None:
-                    # first valid record fixes the dimensionality for the whole run
-                    self.config = Config(self._strictness, len(values))
-                point = validate_point(values, self.config, label=label)
+                # the first valid record fixes the width for the whole run
+                config = self.config or Config(self._strictness, len(values))
+                point = validate_point(values, config, label=label)
+                self.config = config
             except ClusteringError as err:
                 saw_content = True  # a line that will not decode is not blank
                 err.line_number = line_number

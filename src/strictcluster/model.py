@@ -57,11 +57,13 @@ class Config:
 def _as_float(value: object, position: int) -> float:
     """float(value) for the feature at ``position``, 1-based; ParseError for a
     str, bytes, bytearray, bool or numpy bool, and for what float() cannot
-    convert."""
+    convert, without echoing an integer too large for a float (it may be long)."""
     if not isinstance(value, (str, bytes, bytearray, bool, np.bool_)):
         try:
             return float(value)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
+            raise ParseError(f"feature {position} is too large for a float") from None
+        except (TypeError, ValueError):
             pass
     raise ParseError(f"feature {position} cannot be read as a float: {_shown(value)}")
 

@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -23,6 +24,7 @@ from strictcluster import (
     DecisionPath,
     DimensionMismatch,
     FeatureSumOverflow,
+    InvariantViolation,
     NegativeFeature,
     ParseError,
     run_stream,
@@ -416,6 +418,25 @@ class TestStateRoundTrip:
                 assert eng.state() == full.state()
                 assert eng.centroids().tobytes() == full.centroids().tobytes()
                 assert head_outcomes + tail_outcomes == full_outcomes
+
+    @pytest.mark.parametrize(
+        "clusters,message",
+        [
+            ((Cluster(1, 1, (1.0,), (0,)),), "cluster 1: feature_sums has width 1, expected 2"),
+            # a ragged list, which numpy cannot make an array of
+            ((Cluster(1, 1, (1.0, 2.0), (0,)), Cluster(2, 1, (1.0, 2.0, 3.0), (1,))),
+             "cluster 2: feature_sums has width 3, expected 2"),
+            # no division by zero, so no inf centroid and no RuntimeWarning
+            ((Cluster(1, 1, (1.0, 2.0), (0,)), Cluster(2, 0, (1.0, 2.0), ())),
+             "cluster 2 has no members"),
+        ],
+        ids=["wrong-width", "ragged", "no-members"],
+    )
+    def test_a_hand_built_state_that_the_arrays_refuse(self, clusters, message):
+        # from_state checks only the arrays it builds; verify_state audits the rest
+        state = ClusterState(Config(60.0, 2), clusters, len(clusters))
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            ClusteringEngine.from_state(state)
 
     def test_pure_assign_leaves_input_state_alone(self):
         # from_state, assign, state(): one step from a state value to the next

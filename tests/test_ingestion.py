@@ -11,11 +11,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strictcluster import (
+    ClusteringError,
     Config,
     DimensionMismatch,
     NegativeFeature,
+    NonFiniteFeature,
     ParseError,
     PointStream,
+    validate_point,
 )
 from strictcluster.cli import main
 from strictcluster.engine import ClusteringEngine
@@ -134,19 +137,28 @@ class TestJsonlLine:
     def test_label_is_optional(self):
         assert only_point('{"features": [1, 2]}', "jsonl", CFG2).label is None
 
+    def test_the_features_list_is_handed_on_as_read(self):
+        # only the JSON shape is checked here; DataPoint judges the values
+        assert _parse_jsonl_fields('{"features": [1, true, null, "x"]}') == (
+            [1, True, None, "x"], None
+        )
+
     @pytest.mark.parametrize(
         "line,fragment",
         [
             ("[1, 2]", "object"),
             ('{"points": [1, 2]}', "features"),
             ('{"features": 3}', "array"),
-            ('{"features": [1, true]}', "not a number"),
-            ('{"features": [1, "2"]}', "not a number"),
+            ('{"features": [1, true]}', "feature 2 cannot be read as a float: True"),
+            ('{"features": [1, "2"]}', "feature 2 cannot be read as a float: '2'"),
+            ('{"features": [null, 2]}', "feature 1 cannot be read as a float: None"),
+            ('{"features": [1, [2]]}', "feature 2 cannot be read as a float: [2]"),
+            ('{"features": [1, {}]}', "feature 2 cannot be read as a float: {}"),
             ('{"features": [1, 2], "id": 9}', "string"),
             ('{"features": [1, 2]', "invalid JSON"),
             pytest.param(
                 '{"features": [1, 1' + "0" * 400 + "]}",
-                '"features"[2]: integer too large for a float',
+                "feature 2 is too large for a float",
                 id="401-digit-integer",
             ),
             pytest.param(
@@ -161,33 +173,51 @@ class TestJsonlLine:
     )
     def test_malformed_objects(self, line, fragment):
         with pytest.raises(ParseError) as exc:
-            _parse_jsonl_fields(line)
+            only_point(line, "jsonl", CFG2)
         assert fragment in str(exc.value)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_a_non_finite_literal_is_not_finite(self, literal):
+        with pytest.raises(NonFiniteFeature, match="^feature 2 is not finite: "):
+            only_point(f'{{"features": [1, {literal}]}}', "jsonl", CFG2)
+
+    def test_the_width_is_judged_before_the_values(self):
+        with pytest.raises(DimensionMismatch, match="^expected 2 features, got 3$"):
+            only_point('{"features": [1, "x", 3]}', "jsonl", CFG2)
 
     @given(
         st.lists(
             st.one_of(
-                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(),
                 st.integers(min_value=-(10**6), max_value=10**6),
                 st.integers(min_value=10**308, max_value=10**400),
                 st.booleans(),
                 st.none(),
                 st.text(max_size=3),
                 st.lists(st.integers(), max_size=2),
+                st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
             ),
             max_size=6,
-        )
+        ),
+        st.integers(min_value=1, max_value=6),
     )
-    def test_one_pass_features_agree_with_per_value_parse(self, feats):
-        # an all-number array is converted in one map(float) pass; the values,
-        # or the error and its column, must be those of the per-value parse
+    def test_the_accepted_lines_and_values_are_those_of_per_value_parse(
+        self, feats, width
+    ):
+        # DataPoint alone judges a JSONL feature: it accepts the lines that
+        # the per-value type pass and validate_point together accepted, with
+        # the same values, and fails with the same error class at the width
         line = json.dumps({"features": feats})
+        config = Config(60.0, width)
         outcomes = []
-        for parse in (lambda text: _parse_jsonl_fields(text)[0], per_value_parse):
+        for read in (
+            lambda: only_point(line, "jsonl", config).features,
+            lambda: validate_point(per_value_parse(line), config).features,
+        ):
             try:
-                outcomes.append([repr(v) for v in parse(line)])
-            except ParseError as err:
-                outcomes.append((str(err), err.column))
+                outcomes.append([repr(v) for v in read()])
+            except ClusteringError as err:
+                outcomes.append(type(err) if len(feats) == width else None)
         assert outcomes[0] == outcomes[1]
 
     def test_validation_still_applies(self):
@@ -198,7 +228,8 @@ class TestJsonlLine:
 
 
 def per_value_parse(line):
-    """JSONL features converted one at a time: the reference for the one-pass parse."""
+    """JSONL features converted one at a time by the JSON type rule: the
+    reference for the features a JSONL line may hold."""
     values = []
     for col, v in enumerate(json.loads(line)["features"], start=1):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -321,6 +352,31 @@ class TestPointStream:
         with pytest.raises(DimensionMismatch) as exc:
             collect(stream)
         assert exc.value.line_number == 2
+
+    @pytest.mark.parametrize(
+        "fmt,text",
+        [
+            ("csv", "-1,2,3\n1,2\n3,4\n"),
+            ("csv", "1,nan,3\n1,2\n3,4\n"),
+            ("jsonl", '{"features": [1, 2, null]}\n{"features": [1, 2]}\n'
+                      '{"features": [3, 4]}\n'),
+        ],
+        ids=["negative", "nan", "jsonl-null"],
+    )
+    def test_an_invalid_first_line_does_not_fix_the_width(self, fmt, text):
+        # the first valid line fixes the width, not the first line read
+        seen = []
+        stream = PointStream(
+            io.BytesIO(text.encode()), fmt, strictness=60.0, on_skip=seen.append
+        )
+        assert [p.features for p in collect(stream)] == [(1.0, 2.0), (3.0, 4.0)]
+        assert stream.config == CFG2
+        assert [e.line_number for e in seen] == [1]
+        # under halt, the bad line ends the stream before any width is fixed
+        stream = PointStream(io.BytesIO(text.encode()), fmt, strictness=60.0)
+        with pytest.raises(ClusteringError) as exc:
+            collect(stream)
+        assert (exc.value.line_number, stream.config) == (1, None)
 
     def test_jsonl_stream_carries_labels(self):
         text = '{"features": [1, 2], "id": "a"}\n{"features": [3, 4]}\n'

@@ -137,8 +137,9 @@ class TestDataPoint:
          ((5.0, -2.0, math.nan), NegativeFeature, "feature 2 is negative: -2.0"),
          ((1.0, "x"), ParseError, "feature 2 cannot be read as a float: 'x'"),
          ((None, 1.0), ParseError, "feature 1 cannot be read as a float: None"),
-         ((1.0, 2.0, 10**5000), ParseError,
-          "feature 3 cannot be read as a float: an integer too long to print"),
+         # an integer no float holds is not echoed, however many digits it has
+         ((1.0, 2.0, 10**400), ParseError, "feature 3 is too large for a float"),
+         ((1.0, 2.0, 10**5000), ParseError, "feature 3 is too large for a float"),
          # float() reads these, but the CLI's parsers refuse them
          (("1.5", 2.0), ParseError, "feature 1 cannot be read as a float: '1.5'"),
          ((1.0, True), ParseError, "feature 2 cannot be read as a float: True"),

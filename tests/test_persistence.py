@@ -241,6 +241,25 @@ def test_save_replaces_existing_file_and_leaves_no_leftovers(golden_state, tmp_p
     assert [p.name for p in tmp_path.iterdir()] == ["state.snap"]
 
 
+def test_a_failed_replace_leaves_the_old_snapshot_and_no_temp_file(
+    golden_state, tmp_path, monkeypatch
+):
+    path = tmp_path / "state.snap"
+    save_snapshot(golden_state, path)
+    before = path.read_bytes()
+    more, _ = run_stream(Config(GOLDEN_STRICTNESS, GOLDEN_N_FEATURES), GOLDEN_POINTS[:2])
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", str(dst))
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError):
+        save_snapshot(more, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state.snap"]
+
+
 def test_save_into_missing_directory_raises_oserror(golden_state, tmp_path):
     with pytest.raises(OSError):
         save_snapshot(golden_state, tmp_path / "nope" / "state.snap")
@@ -293,6 +312,21 @@ class TestCorruption:
         doc["format"] = "something-else"
         path.write_text(json.dumps(doc) + "\n" + payload + "\n")
         with pytest.raises(SnapshotFormatError):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("digest", [None, 64, "absent"])
+    def test_a_header_without_its_checksum(self, golden_state, tmp_path, digest):
+        path = self.write(tmp_path, golden_state)
+        header, payload = path.read_text().splitlines()
+        doc = json.loads(header)
+        if digest == "absent":
+            del doc["payload_sha256"]
+        else:
+            doc["payload_sha256"] = digest
+        path.write_text(json.dumps(doc) + "\n" + payload + "\n")
+        with pytest.raises(
+            SnapshotFormatError, match="^snapshot header is missing payload_sha256$"
+        ):
             load_snapshot(path)
 
     def test_unsupported_version_wins_over_bad_checksum(self, golden_state, tmp_path):
