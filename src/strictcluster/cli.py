@@ -378,10 +378,12 @@ def _check_files(args: argparse.Namespace) -> None:
     file with the input or a snapshot, and --snapshot-out never names the input.
     --snapshot-out may name --snapshot-in, to resume in place. Refuse also an
     existing --snapshot-out that is no regular file, which the snapshot would
-    replace: a FIFO, a device or a directory; and a --snapshot-out whose
-    directory does not exist, which the save would find only after the
-    whole stream had been clustered and its records written."""
+    replace: a FIFO, a device or a directory; and an empty --snapshot-out or
+    one whose directory does not exist, which the save would find only after
+    the whole stream had been clustered and its records written."""
     out = args.snapshot_out
+    if out == "":
+        raise OSError("--snapshot-out is empty; the snapshot could not be written")
     if out is not None and os.path.exists(out) and not os.path.isfile(out):
         raise OSError(
             f"--snapshot-out {out} is not a regular file; the snapshot would replace it"

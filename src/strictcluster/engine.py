@@ -63,7 +63,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ClusteringError, FeatureSumOverflow, InvariantViolation
+from .errors import ClusteringError, FeatureSumOverflow
 from .model import (
     AssignmentOutcome,
     Cluster,
@@ -72,6 +72,7 @@ from .model import (
     DataPoint,
     DecisionPath,
     validate_point,
+    verify_state,
 )
 
 
@@ -205,29 +206,17 @@ class ClusteringEngine:
     def from_state(cls, state: ClusterState) -> "ClusteringEngine":
         """Rebuild an engine from a saved state; continues exactly where it left off.
 
-        A cluster of the wrong width, or with no members, raises InvariantViolation.
+        :func:`verify_state` audits the state first: what it refuses raises its error.
         """
+        verify_state(state)
         eng = cls(state.config)
         clusters = state.clusters
-        try:
-            eng._sums = np.array(
-                [cl.feature_sums for cl in clusters], dtype=np.float64
-            ).reshape(len(clusters), eng._n)
-        except ValueError:  # a ragged list, or rows of another width
-            for cl in clusters:
-                if len(cl.feature_sums) != eng._n:
-                    raise InvariantViolation(
-                        f"cluster {cl.id}: feature_sums has width "
-                        f"{len(cl.feature_sums)}, expected {eng._n}"
-                    ) from None
-            raise
+        eng._sums = np.array(
+            [cl.feature_sums for cl in clusters], dtype=np.float64
+        ).reshape(len(clusters), eng._n)
         eng._counts = [cl.member_count for cl in clusters]
-        counts = np.array(eng._counts, dtype=np.float64)
-        empty = np.flatnonzero(~(counts >= 1.0))  # a NaN count is refused too
-        if empty.size:
-            raise InvariantViolation(f"cluster {clusters[empty[0]].id} has no members")
         # _join's elementwise total / count, into a C-ordered (n, k) array
-        eng._cents = np.ascontiguousarray(eng._sums.T) / counts
+        eng._cents = np.ascontiguousarray(eng._sums.T) / np.array(eng._counts, dtype=np.float64)
         eng._members = [list(cl.member_seqs) for cl in clusters]
         eng._points_seen = state.points_seen
         return eng

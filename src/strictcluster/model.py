@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -37,7 +38,7 @@ class Config:
     """Run-wide settings: strictness percentage and feature-vector width."""
 
     strictness: float  # in (0, 100]
-    n_features: int  # >= 1
+    n_features: int  # in [1, sys.maxsize // 8]: numpy shapes no wider float64 row
 
     def __post_init__(self):
         s = self.strictness
@@ -47,9 +48,9 @@ class Config:
         if not (0.0 < s <= 100.0):
             raise StrictnessOutOfRange(f"strictness must be in (0, 100], got {_shown(s)}")
         n = self.n_features
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= sys.maxsize // 8:
             raise BadDimensionality(
-                f"n_features must be a positive integer, got {_shown(n)}"
+                f"n_features must be an integer in [1, {sys.maxsize // 8}], got {_shown(n)}"
             )
         object.__setattr__(self, "strictness", float(s))
 
@@ -178,20 +179,26 @@ def verify_state(
     state: ClusterState, points: Iterable[Sequence[float]] | None = None
 ) -> None:
     """Audit every structural invariant of a ClusterState, the types of its
-    fields included; raise InvariantViolation on failure.
+    fields included; raise InvariantViolation, and no other error, on failure.
 
     With ``points`` given (the original stream, in arrival order), also
     replays each cluster's members and checks that the stored feature sums
     equal the recomputed ones exactly: the engine makes the same IEEE
-    additions in the same order.
+    additions in the same order. A point float() cannot read fails too.
     """
+    if not (isinstance(state, ClusterState) and isinstance(state.config, Config)
+            and type(state.clusters) is tuple):
+        raise InvariantViolation("not a ClusterState with a Config and a tuple of clusters")
     n = state.config.n_features
     total = 0
     for pos, cluster in enumerate(state.clusters, start=1):
         # type() rather than isinstance(): bool is an int subclass but no count
-        if type(cluster.id) is not int or type(cluster.member_count) is not int:
+        if type(cluster) is not Cluster or (int, int, tuple, tuple) != tuple(map(type, (
+            cluster.id, cluster.member_count, cluster.feature_sums, cluster.member_seqs
+        ))):
             raise InvariantViolation(
-                f"cluster at position {pos}: id and member_count must be integers"
+                f"cluster at position {pos}: not a Cluster of integer id and "
+                "member_count and tuples of feature_sums and member_seqs"
             )
         if cluster.id != pos:
             raise InvariantViolation(
@@ -241,7 +248,11 @@ def verify_state(
 
     if points is None:
         return
-    stream = [tuple(float(v) for v in p) for p in points]
+    stream: list[tuple[float, ...]] = []
+    try:  # extend() keeps the points before one that fails: its seq is len(stream)
+        stream.extend(tuple(map(float, p)) for p in points)
+    except (TypeError, ValueError, OverflowError):
+        raise InvariantViolation(f"point seq {len(stream)} cannot be read as floats") from None
     if len(stream) < points_seen:
         raise InvariantViolation(
             f"replay needs {points_seen} points, {len(stream)} were given"

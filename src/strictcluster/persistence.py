@@ -200,16 +200,9 @@ def load_snapshot(source: str | os.PathLike) -> ClusterState:
 
 
 def _cluster(doc: dict) -> Cluster:
-    """One payload cluster, for verify_state to judge; only numbers become sums."""
-    sums = doc["feature_sums"]
-    # type() rather than isinstance(): bool is an int subclass but not a number
-    kinds = set(map(type, sums))
-    if not kinds <= {int, float}:
-        raise TypeError(f"cluster {doc['id']}: feature_sums must be numbers")
-    return Cluster(
-        id=doc["id"],
-        member_count=doc["member_count"],
-        # every sum a save writes is a float; only a hand-written int is converted
-        feature_sums=tuple(sums) if kinds == {float} else tuple(map(float, sums)),
-        member_seqs=tuple(doc["member_seqs"]),
-    )
+    """One payload cluster, for verify_state to judge; an int sum becomes a float."""
+    sums = tuple(doc["feature_sums"])
+    if not {float}.issuperset(map(type, sums)):  # every sum a save writes is a float
+        # type() rather than isinstance(): a bool is an int but no sum
+        sums = tuple(float(s) if type(s) is int else s for s in sums)
+    return Cluster(doc["id"], doc["member_count"], sums, tuple(doc["member_seqs"]))

@@ -495,6 +495,20 @@ class TestRun:
             [golden_csv, *([parent] if parent_is_file else [])]
         )
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--strictness", "60"], ["resume", "--snapshot-in", "absent.snap"],
+    ], ids=["run", "resume"])
+    def test_an_empty_snapshot_out_is_refused_before_the_run(
+        self, command, tmp_path, capsys
+    ):
+        # the absent input (and snapshot) show the refusal comes before either is read
+        code = main([*command, "--input", str(tmp_path / "absent.csv"), "--snapshot-out", ""])
+        assert code == 1
+        assert capsys.readouterr() == ("", (
+            "strictcluster: error: --snapshot-out is empty; the snapshot could not be written\n"
+        ))
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output(self, golden_csv, tmp_path, capsys):
         code = main(
             ["run", "--strictness", "60", "--input", str(golden_csv),

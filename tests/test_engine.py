@@ -1,5 +1,6 @@
 """Engine behavior: the six-point example, dispatch branches, exactness."""
 
+import dataclasses
 import math
 import os
 import random
@@ -385,6 +386,26 @@ class TestStreamDiscipline:
         ]
 
 
+def hand_built(*clusters, points_seen=None):
+    """A ClusterState at n=2 of ``clusters``, one point seen per cluster unless
+    ``points_seen`` is given."""
+    seen = len(clusters) if points_seen is None else points_seen
+    return ClusterState(Config(60.0, 2), clusters, seen)
+
+
+NOT_A_CLUSTER = (
+    "cluster at position 1: not a Cluster of integer id and member_count "
+    "and tuples of feature_sums and member_seqs"
+)
+NOT_A_STATE = "not a ClusterState with a Config and a tuple of clusters"
+# for a field of a valid two-cluster state: some keep it valid, most do not
+FIELD_VALUES = [
+    1, 2, 3, 0, True, 2.0, "2", None, 5, (0,), (1,), (0, 2), (2, 0), (0, 0), [0],
+    (3.0, 7.0), (9.0, 1.0), (1.0,), (1.0, math.nan), (1.0, -0.5), (1.0, math.inf),
+    (1.0, 2), (1.0, True), ((1.0, 2.0), (3.0, 4.0)), [3.0, 7.0], (10**400, 1.0),
+]
+
+
 class TestStateRoundTrip:
     def test_from_state_reproduces_the_state(self):
         state, _ = run_stream(GOLDEN_CONFIG, GOLDEN_POINTS)
@@ -420,23 +441,67 @@ class TestStateRoundTrip:
                 assert head_outcomes + tail_outcomes == full_outcomes
 
     @pytest.mark.parametrize(
-        "clusters,message",
+        "state,message",
         [
-            ((Cluster(1, 1, (1.0,), (0,)),), "cluster 1: feature_sums has width 1, expected 2"),
+            (hand_built(Cluster(1, 1, (1.0,), (0,))),
+             "cluster 1: feature_sums has width 1, expected 2"),
             # a ragged list, which numpy cannot make an array of
-            ((Cluster(1, 1, (1.0, 2.0), (0,)), Cluster(2, 1, (1.0, 2.0, 3.0), (1,))),
+            (hand_built(Cluster(1, 1, (1.0, 2.0), (0,)), Cluster(2, 1, (1.0, 2.0, 3.0), (1,))),
              "cluster 2: feature_sums has width 3, expected 2"),
             # no division by zero, so no inf centroid and no RuntimeWarning
-            ((Cluster(1, 1, (1.0, 2.0), (0,)), Cluster(2, 0, (1.0, 2.0), ())),
+            (hand_built(Cluster(1, 1, (1.0, 2.0), (0,)), Cluster(2, 0, (1.0, 2.0), ())),
              "cluster 2 has no members"),
+            # a count that numpy would read, and a join would fail on
+            (hand_built(Cluster(1, "2", (1.0, 2.0), (0, 1)), points_seen=2), NOT_A_CLUSTER),
+            (hand_built(Cluster(1, 1, (math.nan, 2.0), (0,))),
+             "cluster 1: feature sum nan is not a finite nonnegative float"),
+            (hand_built(Cluster(1, 1, (1.0, -1.0), (0,))),
+             "cluster 1: feature sum -1.0 is not a finite nonnegative float"),
+            (hand_built(Cluster(2, 1, (1.0, 2.0), (0,))),
+             "cluster ids must be contiguous from 1; found 2 at position 1"),
+            (hand_built(Cluster(1, 1, (1.0, 2.0), (0,)), points_seen=2),
+             "member counts sum to 1 but points_seen is 2"),
+            # numpy would make these a (1, 2, 2) array
+            (hand_built(Cluster(1, 1, ((1.0, 2.0), (3.0, 4.0)), (0,))),
+             "cluster 1: feature sum (1.0, 2.0) is not a finite nonnegative float"),
+            # states that cannot be read at all
+            (hand_built(Cluster(1, 1, 5, (0,))), NOT_A_CLUSTER),
+            (hand_built(Cluster(1, 1, (1.0, 2.0), None)), NOT_A_CLUSTER),
+            (hand_built((1, 1, (1.0, 2.0), (0,))), NOT_A_CLUSTER),
+            (ClusterState(Config(60.0, 2), None, 0), NOT_A_STATE),
+            (ClusterState(None, (Cluster(1, 1, (1.0, 2.0), (0,)),), 1), NOT_A_STATE),
+            (None, NOT_A_STATE),
         ],
-        ids=["wrong-width", "ragged", "no-members"],
+        ids=["wrong-width", "ragged", "no-members", "count-str", "nan-sum", "negative-sum",
+             "ids-from-2", "points-seen-off", "nested-sums", "sums-5", "seqs-None",
+             "no-Cluster", "clusters-None", "config-None", "no-state"],
     )
-    def test_a_hand_built_state_that_the_arrays_refuse(self, clusters, message):
-        # from_state checks only the arrays it builds; verify_state audits the rest
-        state = ClusterState(Config(60.0, 2), clusters, len(clusters))
-        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
-            ClusteringEngine.from_state(state)
+    def test_a_hand_built_state_that_the_arrays_refuse(self, state, message):
+        # from_state audits with verify_state: the same refusal, and no other error
+        for judge in (verify_state, ClusteringEngine.from_state):
+            with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+                judge(state)
+
+    @given(
+        st.lists(st.tuples(
+            st.integers(0, 1),
+            st.sampled_from(["id", "member_count", "feature_sums", "member_seqs"]),
+            st.sampled_from(FIELD_VALUES),
+        ), max_size=3),
+        st.sampled_from([3, 2, 4, True, 3.0]),
+    )
+    def test_from_state_refuses_exactly_what_verify_state_refuses(self, pokes, points_seen):
+        clusters = [Cluster(1, 2, (3.0, 7.0), (0, 2)), Cluster(2, 1, (9.0, 1.0), (1,))]
+        for i, field, value in pokes:
+            clusters[i] = dataclasses.replace(clusters[i], **{field: value})
+        state = hand_built(*clusters, points_seen=points_seen)
+        try:
+            verify_state(state)
+        except InvariantViolation as err:
+            with pytest.raises(InvariantViolation, match=f"^{re.escape(str(err))}$"):
+                ClusteringEngine.from_state(state)
+        else:
+            assert ClusteringEngine.from_state(state).state() == state
 
     def test_pure_assign_leaves_input_state_alone(self):
         # from_state, assign, state(): one step from a state value to the next

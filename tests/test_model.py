@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from strictcluster import (
     BadDimensionality,
     Cluster,
+    ClusteringEngine,
     ClusterState,
     Config,
     DataPoint,
@@ -50,11 +52,17 @@ class TestConfig:
             Config(bad, 3)
 
     @pytest.mark.parametrize(
-        "bad", [0, -1, 2.5, True, None, "3", pytest.param(-(10**5000), id="-10**5000")]
+        "bad", [0, -1, 2.5, True, None, "3", pytest.param(-(10**5000), id="-10**5000"),
+                sys.maxsize // 8 + 1, pytest.param(10**400, id="10**400")]
     )
     def test_rejects_bad_width(self, bad):
         with pytest.raises(BadDimensionality):
             Config(60.0, bad)
+
+    def test_the_widest_config_makes_an_engine(self):
+        # numpy cannot shape a float64 row one feature wider, not even an empty one
+        eng = ClusteringEngine(Config(60.0, sys.maxsize // 8))
+        assert eng.centroids().shape == (0, sys.maxsize // 8)
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -300,6 +308,17 @@ class TestVerifyState:
             InvariantViolation, match="^point seq 2 has 1 features, expected 2$"
         ):
             verify_state(make_state(), [[1.0, 3.0], [9.0, 1.0], [2.0]])
+
+    @pytest.mark.parametrize(
+        "points,seq",
+        [([["x", 2.0]], 0), ([5], 0), ([[1.0, 3.0], [10**400, 1.0]], 1), (5, 0)],
+        ids=["str", "no-sequence", "too-large", "no-iterable"],
+    )
+    def test_replay_of_a_point_that_float_cannot_read_is_a_violation(self, points, seq):
+        with pytest.raises(
+            InvariantViolation, match=f"^point seq {seq} cannot be read as floats$"
+        ):
+            verify_state(make_state(), points)
 
     def test_replay_rejects_drifted_sums(self):
         points = [[1.0, 3.0], [9.0, 1.0], [2.0, 4.0]]
