@@ -7,7 +7,7 @@ the engine, stream ingestion, snapshot persistence, and a CLI wrapper.
 
 Importing the package loads no submodule and no numpy (PEP 562): a public
 name imports its submodule the first time it is read. So the process entry
-(:func:`strictcluster._entry.process_main`) runs before numpy is imported,
+(:func:`strictcluster.__main__.process_main`) runs before numpy is imported,
 and can import the CLI with the cyclic collector off.
 """
 

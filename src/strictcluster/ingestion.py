@@ -71,8 +71,8 @@ def _parse_jsonl_fields(line: str) -> tuple[list, str | None]:
     if "features" not in obj:
         raise ParseError('missing required key "features"')
     feats = obj["features"]
-    if not isinstance(feats, list):
-        raise ParseError('"features" must be an array of numbers')
+    if not isinstance(feats, list) or not feats:
+        raise ParseError('"features" must be a non-empty array of numbers')
     label = obj.get("id")
     if label is not None and not isinstance(label, str):
         raise ParseError('"id" must be a string when present')

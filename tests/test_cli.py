@@ -24,10 +24,10 @@ from strictcluster import (
     Config,
     DataPoint,
     DecisionPath,
-    feature_similarity,
     save_snapshot,
 )
-from strictcluster import _entry, cli
+from strictcluster import cli
+from strictcluster.__main__ import process_main
 from strictcluster.cli import (
     TRACE_LIMIT,
     _assignment_record,
@@ -40,7 +40,13 @@ from strictcluster.cli import (
 
 from generators import anchored_points, throughput_points
 from golden import GOLDEN_CSV, GOLDEN_N_FEATURES, GOLDEN_POINTS, GOLDEN_STRICTNESS
-from reference import naive_centroid, naive_profile, naive_should_match, profile_pairs
+from reference import (
+    naive_centroid,
+    naive_profile,
+    naive_should_match,
+    naive_similarity,
+    profile_pairs,
+)
 
 EXPECTED_CIDS = [1, 2, 1, 3, 3, 2]
 EXPECTED_CREATED = [True, True, False, True, False, False]
@@ -302,6 +308,7 @@ class TestRun:
             # the width is checked before the values
             ("jsonl", b'{"features": [1, 2, "x"]}', "expected 2 features, got 3"),
             ("jsonl", b"[1, 2]", "expected a JSON object"),
+            ("jsonl", b'{"features": []}', '"features" must be a non-empty array of numbers'),
             ("jsonl", b'{"features": [1, 2], "id": "\xff"}', "not valid UTF-8"),
             ("jsonl", b'{"features": [1, 2, 3]}', "expected 2 features, got 3"),
         ]:
@@ -908,7 +915,8 @@ DECISIONS = {
 
 
 def render_trace(points, config):
-    """The --trace stderr of a run, from feature_similarity and naive_profile."""
+    """The --trace stderr of a run, from the oracle's naive_similarity and
+    naive_profile."""
     eng = ClusteringEngine(config)
     lines, cells = [], {"undef": 0, "0/0": 0, "1000+": 0}
     band = f"[{_exact(config.strictness)}, {_exact(200.0 - config.strictness)}]"
@@ -924,7 +932,7 @@ def render_trace(points, config):
             cid, centroid = cluster.id, naive_centroid(cluster)
             row = []
             for d, c in zip(dp.features, centroid):
-                sim = feature_similarity(d, c)
+                sim = naive_similarity(d, c)
                 text = "undef" if sim is None else _fmt2(sim)
                 whole = text.partition(".")[0]
                 cells["undef"] += sim is None
@@ -1125,7 +1133,7 @@ class TestProcessEntry:
             return 7
 
         monkeypatch.setattr(cli, "main", fake_main)
-        assert _entry.process_main() == 7
+        assert process_main() == 7
         assert len(seen) == 1
         frozen, enabled = seen[0]
         assert frozen > before and enabled

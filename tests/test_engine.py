@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import strictcluster
 from strictcluster import (
     Cluster,
     ClusteringEngine,
@@ -160,7 +161,8 @@ class TestShouldMatch:
         assert should_match_features(Config(strictness, n)) == expected
 
     def test_starting_the_cli_imports_neither_fractions_nor_decimal(self):
-        src = Path(__file__).resolve().parent.parent / "src"
+        # the child imports the copy of the package that this process imported
+        package_root = Path(strictcluster.__file__).resolve().parents[1]
         code = (
             "import sys; import strictcluster.cli; "
             "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
@@ -170,7 +172,7 @@ class TestShouldMatch:
             capture_output=True,
             text=True,
             timeout=60,
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env={**os.environ, "PYTHONPATH": str(package_root)},
         )
         assert (proc.returncode, proc.stdout) == (0, "[]\n")
 

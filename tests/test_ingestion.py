@@ -149,6 +149,8 @@ class TestJsonlLine:
             ("[1, 2]", "object"),
             ('{"points": [1, 2]}', "features"),
             ('{"features": 3}', "array"),
+            # a shape error of the line, not a width of 0 for Config to refuse
+            ('{"features": []}', '"features" must be a non-empty array of numbers'),
             ('{"features": [1, true]}', "feature 2 cannot be read as a float: True"),
             ('{"features": [1, "2"]}', "feature 2 cannot be read as a float: '2'"),
             ('{"features": [null, 2]}', "feature 1 cannot be read as a float: None"),
@@ -360,8 +362,9 @@ class TestPointStream:
             ("csv", "1,nan,3\n1,2\n3,4\n"),
             ("jsonl", '{"features": [1, 2, null]}\n{"features": [1, 2]}\n'
                       '{"features": [3, 4]}\n'),
+            ("jsonl", '{"features": []}\n{"features": [1, 2]}\n{"features": [3, 4]}\n'),
         ],
-        ids=["negative", "nan", "jsonl-null"],
+        ids=["negative", "nan", "jsonl-null", "jsonl-empty"],
     )
     def test_an_invalid_first_line_does_not_fix_the_width(self, fmt, text):
         # the first valid line fixes the width, not the first line read

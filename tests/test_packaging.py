@@ -1,5 +1,6 @@
 """Package metadata: the distribution and the package agree."""
 
+import gc
 import importlib
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import strictcluster
+from strictcluster import cli
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -28,34 +30,43 @@ def test_pyproject_names_the_package_and_its_version():
 
 
 def test_the_console_script_names_the_entry_that_module_execution_calls(monkeypatch):
-    script = project()["scripts"]
-    module, _, attr = script["strictcluster"].partition(":")
+    module, _, attr = project()["scripts"]["strictcluster"].partition(":")
+    assert module == "strictcluster.__main__"  # the module python -m runs
+    entry = getattr(importlib.import_module(module), attr)
+    # runpy executes __main__ afresh, so the shared entry is seen through
+    # the CLI function it calls, not by replacing the entry itself
     calls = []
 
-    def entry():
-        calls.append(attr)
+    def fake_main():
+        calls.append(gc.get_freeze_count() > 0)
+        gc.unfreeze()  # so the next call shows its own freeze
         return 3
 
-    monkeypatch.setattr(importlib.import_module(module), attr, entry)
+    monkeypatch.setattr(cli, "main", fake_main)
     # runpy warns when the module it runs was imported already
     monkeypatch.delitem(sys.modules, "strictcluster.__main__", raising=False)
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_module("strictcluster", run_name="__main__", alter_sys=False)
-    assert calls == [attr]
+    try:
+        assert entry() == 3
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("strictcluster", run_name="__main__", alter_sys=False)
+    finally:
+        gc.unfreeze()  # leave this process's collector as it was
+    assert calls == [True, True]  # both ran the entry, which freezes first
     assert exc.value.code == 3
 
 
-SRC = PYPROJECT.parent / "src"
+PACKAGE_ROOT = Path(strictcluster.__file__).resolve().parents[1]
 
 
 def run_python(code, *args, **kwargs):
-    """Run ``code`` in a fresh interpreter that imports the package from src."""
+    """Run ``code`` in a fresh interpreter that imports the package from
+    where this process imported it: src, or an installed copy."""
     return subprocess.run(
         [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         timeout=60,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
+        env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
         **kwargs,
     )
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import strictcluster
 from strictcluster import (
     ChecksumMismatch,
     Cluster,
@@ -175,15 +176,16 @@ def test_resume_through_snapshot_continues_bit_exactly(tmp_path):
 
 
 def run_child(code, *args):
-    """Run ``code`` in a fresh interpreter that imports the package and the
-    test helpers; its stdout."""
+    """Run ``code`` in a fresh interpreter that imports the test helpers and
+    the copy of the package that this process imported; its stdout."""
     here = Path(__file__).resolve().parent
+    package_root = Path(strictcluster.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", code, *map(str, args)],
         capture_output=True,
         text=True,
         timeout=60,
-        env={**os.environ, "PYTHONPATH": f"{here.parent / 'src'}{os.pathsep}{here}"},
+        env={**os.environ, "PYTHONPATH": f"{package_root}{os.pathsep}{here}"},
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -460,14 +462,52 @@ class TestCorruption:
     ):
         # the decoder itself fails on these, with a RecursionError or ValueError
         if header is None:  # a valid header, so the payload is decoded
-            header = json.dumps({
-                "format": SNAPSHOT_FORMAT,
-                "format_version": SNAPSHOT_VERSION,
-                "payload_sha256": hashlib.sha256(payload.encode()).hexdigest(),
-            })
+            header = checksummed_header(payload)
         path = tmp_path / "state.snap"
         path.write_text(header + "\n" + payload + "\n")
         with pytest.raises(error, match=f"^{re.escape(reason)}$"):
             load_snapshot(path)
         assert main(["inspect", "--snapshot-in", str(path)]) == 1
         assert capsys.readouterr() == ("", f"strictcluster: error: {reason}\n")
+
+    FRAME = '{"config":{"strictness":60.0,"n_features":2},"points_seen":1,"clusters":[%s]}'
+    PAYLOAD_SHAPE = (
+        'the payload must be an object with "config" (an object with "strictness" '
+        'and "n_features"), "points_seen" and "clusters" (an array)'
+    )
+    CLUSTER_SHAPE = (
+        'cluster at position 1 must be an object with "id", "member_count", '
+        '"feature_sums" (an array) and "member_seqs" (an array)'
+    )
+
+    @pytest.mark.parametrize(
+        "payload,reason",
+        [(FRAME % "5", CLUSTER_SHAPE),
+         ('{"config":[60.0,2],"points_seen":1,"clusters":[]}', PAYLOAD_SHAPE),
+         (FRAME % '{"id":1,"member_count":1,"feature_sums":[1.0,2.0]}', CLUSTER_SHAPE),
+         ("null", PAYLOAD_SHAPE),
+         (FRAME % ('{"id":1,"member_count":1,"feature_sums":[1' + "0" * 400
+                   + ',2.0],"member_seqs":[0]}'),
+          "cluster at position 1: feature sum 1 is too large for a float")],
+        ids=["int-cluster", "list-config", "no-member_seqs", "null-payload", "sum-10**400"],
+    )
+    def test_a_payload_of_the_wrong_shape_is_named_in_one_error_line(
+        self, tmp_path, capsys, payload, reason
+    ):
+        # the message names the shape a save writes, not a Python error's text
+        path = tmp_path / "state.snap"
+        path.write_text(checksummed_header(payload) + "\n" + payload + "\n")
+        reason = f"snapshot payload is inconsistent: {reason}"
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(reason)}$"):
+            load_snapshot(path)
+        assert main(["inspect", "--snapshot-in", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"strictcluster: error: {reason}\n")
+
+
+def checksummed_header(payload):
+    """A snapshot header line whose checksum is that of ``payload``."""
+    return json.dumps({
+        "format": SNAPSHOT_FORMAT,
+        "format_version": SNAPSHOT_VERSION,
+        "payload_sha256": hashlib.sha256(payload.encode()).hexdigest(),
+    })
