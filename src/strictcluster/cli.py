@@ -327,28 +327,32 @@ def _cluster_stream(
     stream = PointStream(
         source,
         args.format,
-        engine.config if engine is not None else None,
-        strictness=None if engine is not None else args.strictness,
+        engine.config.n_features if engine is not None else None,
         on_skip=_report_skip if args.on_error == "skip" else None,
     )
     traced = 0
     texts = None
+    profile: list[np.ndarray] = []  # a traced point's counts and averages
+
+    def keep(matched: np.ndarray, avgs: np.ndarray) -> None:
+        profile[:] = matched, avgs
+
     for dp in stream:
         if engine is None:
-            engine = ClusteringEngine(stream.config)
+            engine = ClusteringEngine(Config(args.strictness, stream.n_features))
         do_trace = args.trace and traced < TRACE_LIMIT
         # Tables must reflect the pre-insertion state, so compute them first.
         if do_trace:
-            sims, (matched, avgs) = _sim_rows(engine, dp), engine.profiles(dp)
+            sims = _sim_rows(engine, dp)
         try:
-            outcome = engine.assign(dp)
+            outcome = engine.assign(dp, _on_profile=keep if do_trace else None)
         except ClusteringError as err:
             err.line_number = stream.line_number
             raise
         if do_trace:
             if texts is None:
                 texts = _TraceTexts(engine)
-            _print_trace(texts, dp, sims, matched, avgs, outcome)
+            _print_trace(texts, dp, sims, *profile, outcome)
             traced += 1
             if traced == TRACE_LIMIT:
                 _note(f"{PROG}: trace stopped after {TRACE_LIMIT} points\n")
@@ -444,15 +448,17 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     state = load_snapshot(args.snapshot_in)
-    print(f"strictness: {_exact(state.config.strictness)}")
-    print(f"features: {state.config.n_features}")
-    print(f"points seen: {state.points_seen}")
     clusters = state.clusters
     k, n = len(clusters), state.config.n_features
-    print(f"{k} cluster" + ("" if k == 1 else "s"))
     cells = _fmt2_array(ClusteringEngine.from_state(state).centroids().ravel())
-    for i, c in enumerate(clusters):
-        print(f"C{c.id}: size {c.member_count}  centroid {' '.join(cells[i * n : (i + 1) * n])}")
+    with _open_output("-") as out:  # the records' route: a closed stdout is an error
+        out.write(
+            f"strictness: {_exact(state.config.strictness)}\nfeatures: {n}\n"
+            f"points seen: {state.points_seen}\n{k} cluster{'' if k == 1 else 's'}\n"
+        )
+        for i, c in enumerate(clusters):
+            row = " ".join(cells[i * n : (i + 1) * n])
+            out.write(f"C{c.id}: size {c.member_count}  centroid {row}\n")
     return 0
 
 

@@ -36,6 +36,9 @@ The mirror is built by that check and kept in step by every create and
 join. The first filtered point outside the range, or a state outside it,
 turns the screen and the filter off for the engine's lifetime, so no value
 outside it is ever cast; every point then scores every cluster in full.
+A traced point (``assign``'s ``_on_profile``) scores every cluster in full
+too, but only after its range check and the screen's start, so tracing
+changes neither when the screen turns off nor what the mirror holds.
 
 The per-cluster scan is vectorized with numpy, but every arithmetic step
 mirrors this module's :func:`feature_similarity` and the band check
@@ -59,7 +62,7 @@ rejected before any state changes.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -162,14 +165,14 @@ def _qualifying_avg(sims: np.ndarray, band: np.ndarray, i: int) -> float:
     """Average of cluster i's in-band similarities, each v above 100 as 200 - v.
 
     A plain left-to-right sum in feature order: identical arithmetic to a
-    scalar loop over the features. :meth:`ClusteringEngine.profiles`
-    computes the same for every cluster at once, and
+    scalar loop over the features. :meth:`ClusteringEngine.assign` folds
+    every cluster at once for its ``_on_profile`` hook, and
     ``test_profiles_equal_the_scalar_match_profile`` in tests/test_engine.py
-    pins the two forms together bit for bit. :meth:`ClusteringEngine.assign`
-    keeps this scalar form because it averages one to a few columns: for one
-    column of a 77-cluster matrix, the vector fold took 4.4 us against
-    0.9 us at n = 10, and 4.7 us against 3.3 us at n = 100 (Python 3.11,
-    numpy 2.4, a 2-vCPU x86-64 VM).
+    pins the two forms together bit for bit. The decision keeps this scalar
+    form because it averages one to a few columns: for one column of a
+    77-cluster matrix, the vector fold took 4.4 us against 0.9 us at
+    n = 10, and 4.7 us against 3.3 us at n = 100 (Python 3.11, numpy 2.4,
+    a 2-vCPU x86-64 VM).
     """
     total = 0.0
     vals = sims[:, i][band[:, i]].tolist()
@@ -248,7 +251,12 @@ class ClusteringEngine:
             config=self.config, clusters=clusters, points_seen=self._points_seen
         )
 
-    def assign(self, point: DataPoint | Sequence[float]) -> AssignmentOutcome:
+    def assign(
+        self,
+        point: DataPoint | Sequence[float],
+        *,
+        _on_profile: Callable[[np.ndarray, np.ndarray], None] | None = None,
+    ) -> AssignmentOutcome:
         """Place one point and update the receiving cluster.
 
         Accepts a DataPoint, which checked its values when it was built, or a
@@ -256,8 +264,16 @@ class ClusteringEngine:
         ``point_seq`` is the point's 0-based position in the stream, which the
         engine alone numbers; a :class:`ClusteringError` raised for the point
         carries the same position as ``point_seq``. A join's outcome carries
-        the winner's matched count and qualifying average; :meth:`profiles`
-        scores the point against every cluster.
+        the winner's matched count and qualifying average.
+
+        ``_on_profile(matched, avgs)``, private to the CLI's ``--trace``, gets
+        how the point scored against every cluster before it was placed: the
+        matched counts (intp) and qualifying averages (float64, nan where
+        nothing matched), in id order. Such a point skips the count filter,
+        after its range check. Each in-band similarity is folded (0.0 out of
+        band) and np.add.accumulate adds the rows in feature order, so each
+        average is :func:`_qualifying_avg`'s left-to-right sum bit for bit
+        (np.add.reduce would sum a lone column, k = 1, pairwise).
         """
         seq = self._points_seen
         try:
@@ -278,6 +294,8 @@ class ClusteringEngine:
             filtering = False
         elif filtering and self._cents32 is None:
             filtering = self._start_screen()
+        if _on_profile is not None:  # a traced point, after its range check
+            filtering = False
 
         # Score against the state as it stood before this point; once k is
         # large, only the clusters that pass the count filter (module doc).
@@ -290,6 +308,11 @@ class ClusteringEngine:
             else:
                 kept, cents = None, self._cents
             sims, band, matched = self._score(f, cents, overflows, zeros)
+            if _on_profile is not None:
+                # min(v, 200 - v) is v up to 100 and 200 - v above it
+                folded = np.where(band, np.minimum(sims, 200.0 - sims), 0.0)
+                avgs = np.add.accumulate(folded, axis=0)[-1] / matched
+                _on_profile(matched.astype(np.intp), avgs)
             qualified_ids = (matched >= self._need).nonzero()[0]
 
             # the one to few qualifiers are compared as lists: cheaper than
@@ -348,34 +371,6 @@ class ClusteringEngine:
             matched_count=win_matched,
             qualifying_avg=win_avg,
         )
-
-    def profiles(
-        self, point: DataPoint | Sequence[float]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """How ``point`` scores against every cluster: its matched counts
-        (intp) and qualifying averages (float64), one per cluster in id order.
-
-        Read-only: it scores as :meth:`assign` would next, against the state
-        as it stands, and changes nothing. Assigning the same point then
-        reports its winner's entries as the outcome's ``matched_count`` and
-        ``qualifying_avg``.
-
-        The averages are :func:`_qualifying_avg`'s bit for bit, nan where
-        nothing matched. Each in-band similarity is folded (out of band it
-        is 0.0), and np.add.accumulate adds the feature rows in order, so
-        every column's total is the scalar loop's left-to-right sum: adding
-        0.0 to a nonnegative total changes nothing. (np.add.reduce would sum
-        a lone column, k = 1, pairwise.)
-        """
-        dp = self._coerce(point)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            f = np.asarray(dp.features, dtype=np.float64)
-            overflows, zeros, _ = _fixups(dp.features, False)
-            sims, band, matched = self._score(f, self._cents, overflows, zeros)
-            # min(v, 200 - v) is v up to 100 and 200 - v above it
-            folded = np.where(band, np.minimum(sims, 200.0 - sims), 0.0)
-            avgs = np.add.accumulate(folded, axis=0)[-1] / matched
-        return matched.astype(np.intp), avgs
 
     # -- internals ---------------------------------------------------------
 
@@ -448,7 +443,7 @@ class ClusteringEngine:
             if len(point.features) == self._n:
                 return point
             point = point.features  # validate_point raises the width error
-        return validate_point(point, self.config)
+        return validate_point(point, self._n)
 
     def _create(self, f: np.ndarray, seq: int) -> int:
         self._sums = np.vstack((self._sums, f))

@@ -21,7 +21,7 @@ import json
 from typing import IO, Callable, Iterator
 
 from .errors import ClusteringError, ParseError
-from .model import Config, DataPoint, validate_point
+from .model import DataPoint, validate_point
 
 
 def _csv_number(text: str) -> float:
@@ -93,10 +93,9 @@ class PointStream:
     only, a line that is not valid UTF-8 is a bad line, and any ``\r`` at
     the end of a line is dropped.
 
-    When ``config`` is None, the feature width is inferred from the first
-    valid record and combined with ``strictness`` into a Config, available
-    as ``.config`` from then on; every later record must agree with it.
-    ``.line_number`` is the input line of the point yielded last.
+    Every point must have ``n_features`` features. When it is None, the
+    first valid record fixes the width, available as ``.n_features`` from
+    then on. ``.line_number`` is the input line of the point yielded last.
 
     A bad line raises its :class:`ClusteringError`, whose ``line_number`` is
     set, and ends the stream. With ``on_skip``, the stream instead hands it
@@ -107,19 +106,17 @@ class PointStream:
         self,
         source: IO[bytes],
         fmt: str = "csv",
-        config: Config | None = None,
+        n_features: int | None = None,
         *,
-        strictness: float | None = None,
         on_skip: Callable[[ClusteringError], None] | None = None,
     ):
         if fmt not in ("csv", "jsonl"):
             raise ValueError(f"unknown format {fmt!r}")
-        if config is None and strictness is None:
-            raise ValueError("either a config or a strictness is required")
+        if n_features is not None and (type(n_features) is not int or n_features < 1):
+            raise ValueError(f"n_features must be a positive int or None, got {n_features!r}")
         self._source = source
         self._fmt = fmt
-        self.config = config
-        self._strictness = strictness
+        self.n_features = n_features
         self._on_skip = on_skip
         self.line_number: int | None = None
 
@@ -141,9 +138,9 @@ class PointStream:
                 else:
                     values, label = _parse_jsonl_fields(text)
                 # the first valid record fixes the width for the whole run
-                config = self.config or Config(self._strictness, len(values))
-                point = validate_point(values, config, label=label)
-                self.config = config
+                width = self.n_features or len(values)
+                point = validate_point(values, width, label=label)
+                self.n_features = width
             except ClusteringError as err:
                 saw_content = True  # a line that will not decode is not blank
                 err.line_number = line_number

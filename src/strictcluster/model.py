@@ -109,19 +109,19 @@ class DataPoint:
 
 def validate_point(
     features: Sequence[float],
-    config: Config,
+    n_features: int,
     label: str | None = None,
 ) -> DataPoint:
-    """Check a feature vector's width against the config and wrap it as a
-    DataPoint, which checks its values. ParseError for what has no width."""
+    """Check that a feature vector has ``n_features`` features and wrap it as
+    a DataPoint, which checks its values. ParseError for what has no width."""
     try:
         width = len(features)
     except TypeError:
         raise ParseError(
             f"a point must be a sequence of features, got {_shown(features)}"
         ) from None
-    if width != config.n_features:
-        raise DimensionMismatch(f"expected {config.n_features} features, got {width}")
+    if width != n_features:
+        raise DimensionMismatch(f"expected {n_features} features, got {width}")
     return DataPoint(features, label)
 
 

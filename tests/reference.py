@@ -42,10 +42,20 @@ def naive_profile(point, centroid, strictness):
 
 
 def profile_pairs(matched, avgs):
-    """ClusteringEngine.profiles' two arrays as naive_profile's pairs, one
+    """The two arrays of assign's profile hook as naive_profile's pairs, one
     per cluster: (matched count, average), Python ints and floats, with None
     for the average where nothing matched."""
     return [(c, a if c else None) for c, a in zip(matched.tolist(), avgs.tolist())]
+
+
+def assign_profiled(eng, point):
+    """eng.assign(point) with the profile hook that --trace uses:
+    (outcome, matched, avgs), the point's counts and averages against every
+    cluster as they stood before it. For a read-only probe, call it on
+    ClusteringEngine.from_state(eng.state())."""
+    arrays = []
+    outcome = eng.assign(point, _on_profile=lambda *got: arrays.extend(got))
+    return outcome, *arrays
 
 
 def naive_centroid(cluster):

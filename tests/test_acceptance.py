@@ -34,7 +34,7 @@ from golden import (
     GOLDEN_TABLES,
     cents,
 )
-from reference import naive_centroid, naive_run, profile_pairs
+from reference import assign_profiled, naive_centroid, naive_run, profile_pairs
 
 GOLDEN_CONFIG = Config(GOLDEN_STRICTNESS, GOLDEN_N_FEATURES)
 
@@ -68,7 +68,7 @@ def test_criterion_2_similarity_tables(capsys):
         eng = ClusteringEngine(GOLDEN_CONFIG)
         computed = {}
         for seq, point in enumerate(GOLDEN_POINTS):
-            dp = validate_point(point, GOLDEN_CONFIG)
+            dp = validate_point(point, GOLDEN_N_FEATURES)
             for cid in range(1, eng.cluster_count + 1):
                 centroid = naive_centroid(eng.state().clusters[cid - 1])
                 computed[(seq, cid)] = [
@@ -88,8 +88,8 @@ def test_criterion_3_tiebreak_numerics(capsys):
         eng = ClusteringEngine(GOLDEN_CONFIG)
         for point in GOLDEN_POINTS[:4]:
             eng.assign(point)
-        (matched1, avg1), _, (matched3, avg3) = profile_pairs(*eng.profiles(GOLDEN_POINTS[4]))
-        outcome = eng.assign(GOLDEN_POINTS[4])
+        outcome, *arrays = assign_profiled(eng, GOLDEN_POINTS[4])
+        (matched1, avg1), _, (matched3, avg3) = profile_pairs(*arrays)
         assert matched1 == 8
         assert matched3 == 8
         assert abs(avg1 - 87.87) <= 0.01
@@ -128,9 +128,9 @@ def _scaling_equivariance(n_streams):
         eng_a = ClusteringEngine(Config(strictness, n))
         eng_b = ClusteringEngine(Config(strictness, n))
         for p, q in zip(points, scaled):
-            prof_a, prof_b = eng_a.profiles(p), eng_b.profiles(q)
+            out_a, *prof_a = assign_profiled(eng_a, p)
+            out_b, *prof_b = assign_profiled(eng_b, q)
             assert profile_pairs(*prof_a) == profile_pairs(*prof_b)
-            out_a, out_b = eng_a.assign(p), eng_b.assign(q)
             assert (out_a.assigned_cluster_id, out_a.created_new, out_a.decision_path) == (
                 out_b.assigned_cluster_id,
                 out_b.created_new,

@@ -24,9 +24,11 @@ from strictcluster import (
     Config,
     DataPoint,
     DecisionPath,
+    run_stream,
     save_snapshot,
 )
 from strictcluster import cli
+from strictcluster import engine as engine_module
 from strictcluster.__main__ import process_main
 from strictcluster.cli import (
     TRACE_LIMIT,
@@ -41,6 +43,7 @@ from strictcluster.cli import (
 from generators import anchored_points, throughput_points
 from golden import GOLDEN_CSV, GOLDEN_N_FEATURES, GOLDEN_POINTS, GOLDEN_STRICTNESS
 from reference import (
+    assign_profiled,
     naive_centroid,
     naive_profile,
     naive_should_match,
@@ -189,23 +192,42 @@ class TestRun:
 
     @pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
     def test_only_traced_points_score_every_cluster(self, trace, tmp_path, capsys, monkeypatch):
-        # profiles() scores a point against every cluster a second time;
-        # a run pays for it only on the points it traces
-        calls = []
-        profiles = ClusteringEngine.profiles
+        # each point, traced or not, makes one full-width pass of assign's
+        # kernel: the trace's counts and averages come from the pass that
+        # decides. Past the count filter's switch, here moved down to k = 10
+        # (m = 2 head rows at n = 10, s = 90), an untraced point is screened
+        # and its pass may skip clusters; a traced one is never screened.
+        switch = 10
+        monkeypatch.setattr(engine_module, "_FILTER_MIN_SKIPPED", (10 - 2) * switch)
+        passes, screened = [], []
+        score, screen = ClusteringEngine._score, ClusteringEngine._screen
 
-        def spy(self, point):
-            calls.append(point)
-            return profiles(self, point)
+        def score_spy(self, f, cents, *flags):
+            if f.size == self._n:
+                passes.append((self.points_seen, self.cluster_count, cents.shape[1]))
+            return score(self, f, cents, *flags)
 
-        monkeypatch.setattr(ClusteringEngine, "profiles", spy)
+        def screen_spy(self, *args):
+            screened.append(self.points_seen)
+            return screen(self, *args)
+
+        monkeypatch.setattr(ClusteringEngine, "_score", score_spy)
+        monkeypatch.setattr(ClusteringEngine, "_screen", screen_spy)
+        points = anchored_points(random.Random(7), TRACE_LIMIT + 100, 10, n_anchors=12)
         data = tmp_path / "many.csv"
-        data.write_text("7\n" * 1500)
-        code = main(["run", "--strictness", "60", "--input", str(data)] + ["--trace"] * trace)
+        data.write_text("".join(",".join(map(repr, p)) + "\n" for p in points))
+        code = main(["run", "--strictness", "90", "--input", str(data)] + ["--trace"] * trace)
         out, _ = capsys.readouterr()
         assert code == 0
-        assert len(records_of(out)) == 1500
-        assert len(calls) == (TRACE_LIMIT if trace else 0)
+        assert len(records_of(out)) == len(points)
+        assert [seq for seq, _, _ in passes] == list(range(len(points)))
+        for seq, k, scored in passes:
+            filtered = k >= switch and not (trace and seq < TRACE_LIMIT)
+            assert (seq in screened) == filtered
+            assert scored == k or filtered
+        # traced points past the switch, and clusters skipped past it
+        assert any(k >= switch for seq, k, _ in passes if seq < TRACE_LIMIT)
+        assert any(scored < k for _, k, scored in passes)
 
     @pytest.mark.parametrize(
         "points,want,row",
@@ -229,7 +251,7 @@ class TestRun:
         eng.assign(points[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            profiles = eng.profiles(points[1])
+            _, *profiles = assign_profiled(eng, points[1])
             code = main(["run", "--strictness", "50", "--trace"])
         _, err = capsys.readouterr()
         assert profile_pairs(*profiles) == [want]
@@ -254,6 +276,30 @@ class TestRun:
         assert f"trace stopped after {TRACE_LIMIT} points" in err
         assert written[("--trace",)] == written[()]
         assert b'"decision_path":"AVG_TIEBREAK"' in written[()][0]
+
+    def test_a_resume_traces_points_past_the_filter_switch(self, tmp_path, capsys):
+        # the wide shape: the count filter runs from k = 182, before point
+        # 300, and point 320's first feature lies below the screen's range
+        points = anchored_points(
+            random.Random(75), 340, 100, n_anchors=250, spread=0.15, outlier_rate=0.04
+        )
+        points[320][0] = 1e-30
+        head, tail = tmp_path / "head.csv", tmp_path / "tail.csv"
+        for path, part in ((head, points[:300]), (tail, points[300:])):
+            path.write_text("".join(",".join(map(repr, p)) + "\n" for p in part))
+        snap = tmp_path / "head.snap"
+        argv = ["--input", str(head), "--output", str(tmp_path / "head.jsonl")]
+        assert main(["run", "--strictness", "75", "--snapshot-out", str(snap), *argv]) == 0
+        written = {}
+        for flags in ((), ("--trace",)):
+            records, out = tmp_path / f"out{len(flags)}.jsonl", tmp_path / f"s{len(flags)}.snap"
+            code = main(["resume", "--snapshot-in", str(snap), "--input", str(tail),
+                         "--output", str(records), "--snapshot-out", str(out), *flags])
+            assert code == 0
+            written[flags] = records.read_bytes(), out.read_bytes()
+        _, err = capsys.readouterr()
+        assert written[("--trace",)] == written[()]
+        assert err == render_trace(points, Config(75.0, 100), start=300)[0]
 
     def test_output_file_and_byte_identical_reruns(self, golden_csv, tmp_path):
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -914,13 +960,15 @@ DECISIONS = {
 }
 
 
-def render_trace(points, config):
+def render_trace(points, config, start=0):
     """The --trace stderr of a run, from the oracle's naive_similarity and
-    naive_profile."""
+    naive_profile; with ``start``, of a resume after the first start points."""
     eng = ClusteringEngine(config)
+    for p in points[:start]:
+        eng.assign(p)
     lines, cells = [], {"undef": 0, "0/0": 0, "1000+": 0}
     band = f"[{_exact(config.strictness)}, {_exact(200.0 - config.strictness)}]"
-    for seq, p in enumerate(points):
+    for seq, p in enumerate(points[start:], start=start):
         dp = DataPoint(tuple(p))
         lines.append(
             f"[trace] point {seq}: band {band}, "
@@ -962,12 +1010,24 @@ class TestSubprocess:
         assert proc.returncode == 0
         assert records_of(proc.stdout)[-1]["sizes"] == [2, 2, 2]
 
-    @pytest.mark.parametrize("stream,redirect", [("stdin", "<&-"), ("stdout", ">&-")])
-    def test_a_closed_standard_stream_is_one_error_line(self, stream, redirect):
+    @pytest.mark.parametrize(
+        "stream,redirect,command",
+        [
+            pytest.param("stdin", "<&-", "run", id="stdin-<&-"),
+            pytest.param("stdout", ">&-", "run", id="stdout->&-"),
+            pytest.param("stdout", ">&-", "inspect", id="inspect-stdout->&-"),
+        ],
+    )
+    def test_a_closed_standard_stream_is_one_error_line(
+        self, stream, redirect, command, tmp_path
+    ):
         # the shell closes the descriptor, so Python starts with sys.<stream> None
+        snap = tmp_path / "s.snap"
+        save_snapshot(run_stream(Config(60.0, 2), [[1.0, 2.0]])[0], str(snap))
+        args = "run --strictness 60" if command == "run" else 'inspect --snapshot-in "$1"'
         proc = subprocess.run(
-            ["sh", "-c", f'exec "$0" -m strictcluster run --strictness 60 {redirect}',
-             sys.executable],
+            ["sh", "-c", f'exec "$0" -m strictcluster {args} {redirect}',
+             sys.executable, str(snap)],
             input=None if stream == "stdin" else b"1,2\n",
             capture_output=True,
             timeout=60,

@@ -56,6 +56,7 @@ from golden import (
 )
 from reference import (
     NaiveClusterer,
+    assign_profiled,
     naive_centroid,
     naive_profile,
     naive_run,
@@ -71,8 +72,8 @@ FILTER_MIN_SKIPPED = engine_module._FILTER_MIN_SKIPPED
 @pytest.fixture
 def force_count_filter(monkeypatch):
     """force_count_filter(on) turns assign's count filter on for every k, or
-    off, and returns a list that gets, for each full-kernel pass of assign or
-    profiles, how many cluster columns it left out."""
+    off, and returns a list that gets, for each full-kernel pass of assign,
+    how many cluster columns it left out."""
 
     def force(on):
         monkeypatch.setattr(engine_module, "_FILTER_MIN_SKIPPED", 0 if on else math.inf)
@@ -182,8 +183,8 @@ class TestGoldenTrace:
         eng = ClusteringEngine(GOLDEN_CONFIG)
         assert should_match_features(eng.config) == 6
         for seq, point in enumerate(GOLDEN_POINTS):
-            profiles = profile_pairs(*eng.profiles(point))
-            outcome = eng.assign(point)
+            outcome, *arrays = assign_profiled(eng, point)
+            profiles = profile_pairs(*arrays)
             cid, created, path = GOLDEN_ASSIGNMENTS[seq]
             assert outcome.point_seq == seq
             assert outcome.assigned_cluster_id == cid
@@ -215,8 +216,8 @@ class TestGoldenTrace:
 class TestDispatchBranches:
     def test_first_point_founds_cluster_one(self):
         eng = ClusteringEngine(Config(60.0, 2))
-        assert profile_pairs(*eng.profiles([4.0, 9.0])) == []
-        outcome = eng.assign([4.0, 9.0])
+        outcome, *arrays = assign_profiled(eng, [4.0, 9.0])
+        assert profile_pairs(*arrays) == []
         assert outcome.assigned_cluster_id == 1
         assert outcome.created_new
         assert outcome.decision_path.value == "EMPTY_LIST_NEW_CLUSTER"
@@ -234,8 +235,7 @@ class TestDispatchBranches:
         )
         eng = ClusteringEngine.from_state(state)
         # both qualify (need 2), but cluster 1 matches on all three features
-        matched, _ = eng.profiles([10.0, 10.0, 14.0])
-        outcome = eng.assign([10.0, 10.0, 14.0])
+        outcome, matched, _ = assign_profiled(eng, [10.0, 10.0, 14.0])
         assert matched.tolist() == [3, 2]
         assert outcome.decision_path.value == "MAX_MATCHED"
         assert outcome.assigned_cluster_id == 1
@@ -247,8 +247,8 @@ class TestDispatchBranches:
         assert eng.assign([40.0, 10.0]).created_new  # 400/25 vs C1: no match
         # against C1 sims are (200, 50), against C2 (50, 200): matched one
         # each, scaled average 50 each, so the earlier cluster keeps it
-        (matched1, avg1), (matched2, avg2) = profile_pairs(*eng.profiles([20.0, 20.0]))
-        outcome = eng.assign([20.0, 20.0])
+        outcome, *arrays = assign_profiled(eng, [20.0, 20.0])
+        (matched1, avg1), (matched2, avg2) = profile_pairs(*arrays)
         assert matched1 == matched2 == 1
         assert avg1 == avg2 == 50.0
         assert outcome.decision_path.value == "AVG_TIEBREAK"
@@ -524,13 +524,14 @@ class TestStateRoundTrip:
 
 
 def profiled_run(config, points):
-    """run_stream, plus each point's profiles() taken just before its assign,
-    as profile_pairs."""
+    """run_stream with every point assigned through the profile hook, plus
+    each point's profile as profile_pairs."""
     eng = ClusteringEngine(config)
     outcomes, profiles = [], []
     for p in points:
-        profiles.append(profile_pairs(*eng.profiles(p)))
-        outcomes.append(eng.assign(p))
+        outcome, *arrays = assign_profiled(eng, p)
+        outcomes.append(outcome)
+        profiles.append(profile_pairs(*arrays))
     return eng.state(), outcomes, profiles
 
 
@@ -545,8 +546,8 @@ def kernel_avgs(eng, features):
 
 
 class TestProfileRecording:
-    """assign reports the winner's count and average; profiles() reports
-    every cluster's."""
+    """assign reports the winner's count and average; its profile hook
+    reports every cluster's."""
 
     def assert_winners_are_profiled(self, outcomes, profiles):
         for outcome, before in zip(outcomes, profiles):
@@ -557,8 +558,8 @@ class TestProfileRecording:
                 assert got == before[outcome.assigned_cluster_id - 1]
 
     def test_profiles_change_nothing_and_give_the_winners_profile(self):
-        # assign alone, never asked for profiles(), reaches the same state
-        # and outcomes: profiles() changes nothing
+        # assign without the hook reaches the same state and outcomes: the
+        # hook, which scores every cluster, changes no decision
         state, outcomes, profiles = profiled_run(GOLDEN_CONFIG, GOLDEN_POINTS)
         assert run_stream(GOLDEN_CONFIG, GOLDEN_POINTS) == (state, outcomes)
         self.assert_winners_are_profiled(outcomes, profiles)
@@ -574,16 +575,19 @@ class TestProfileRecording:
 
     @pytest.mark.parametrize("with_profiles", [True, False])
     def test_matched_counts_are_python_ints(self, with_profiles):
-        # the kernel counts matches in uint8; neither the outcome nor
-        # profiles() may leak that
+        # the kernel counts matches in uint8; neither the outcome nor the
+        # profile hook may leak that
         rng = random.Random(11)
         points = integer_points(rng, 80, 6, hi=8)
         eng = ClusteringEngine(Config(60.0, 6))
         counts, arrays = [], []
         for p in points:
             if with_profiles:
-                arrays.append(eng.profiles(p)[0])
-            counts.append(eng.assign(p).matched_count)
+                outcome, matched, _ = assign_profiled(eng, p)
+                arrays.append(matched)
+            else:
+                outcome = eng.assign(p)
+            counts.append(outcome.matched_count)
         counts = [c for c in counts if c is not None]
         assert len(counts) > 10
         assert all(type(c) is int for c in counts)
@@ -641,15 +645,15 @@ class TestProfileRecording:
             dp = DataPoint(tuple(p))
             centroids = [naive_centroid(c) for c in eng.state().clusters]
             want = [naive_profile(dp.features, cent, strictness) for cent in centroids]
-            matched, avgs = eng.profiles(dp)
+            scalar_avgs = kernel_avgs(eng, dp.features)
+            outcome, matched, avgs = assign_profiled(eng, dp)
             got = profile_pairs(matched, avgs)
             assert got == want
-            assert [avg for _, avg in got] == kernel_avgs(eng, dp.features)
+            assert [avg for _, avg in got] == scalar_avgs
             # == cannot tell a numpy integer from an int: check the arrays'
             # types, and that nan marks exactly the clusters nothing matched
             assert (matched.dtype, avgs.dtype) == (np.intp, np.float64)
             assert np.isnan(avgs).tolist() == (matched == 0).tolist()
-            outcome = eng.assign(dp)
             tiebreaks += outcome.decision_path is DecisionPath.AVG_TIEBREAK
             for cent in centroids:
                 folded = []
@@ -840,7 +844,9 @@ class TestCountFilter:
         eng = ClusteringEngine(Config(60.0, 6))
         ties = exact_ties = 0
         for p in integer_points(random.Random(11), 300, 6, hi=2):
-            before = profile_pairs(*eng.profiles(p))
+            # a hooked point skips the filter: probe a copy, assign unhooked
+            probe = ClusteringEngine.from_state(eng.state())
+            before = profile_pairs(*assign_profiled(probe, p)[1:])
             outcome = eng.assign(p)
             if outcome.created_new:
                 continue
@@ -1143,11 +1149,44 @@ class TestHeadScreen:
 
         resumed = ClusteringEngine.from_state(eng.state())
         assert resumed._cents32 is None  # built by the first filtered assign
-        resumed.profiles(points[300])
-        assert resumed._cents32 is None
         for p in points[300:]:
             assert resumed.assign(p) == eng.assign(p)
             assert_mirror_in_step(resumed)
         assert resumed.state() == eng.state()
         # both engines screened every point after the resume
         assert screened[-200:] == sorted(list(range(300, 400)) * 2)
+
+    def test_traced_points_past_the_switch_change_no_decision_and_no_screen(self, screened):
+        # the wide shape, unforced: the filter starts at k = 182, before point
+        # 300; point 320's first feature lies below the screen's range, so
+        # it turns the screen off whether it is traced or not
+        points = anchored_points(
+            random.Random(75), 340, 100, n_anchors=250, spread=0.15, outlier_rate=0.04
+        )
+        points[320][0] = 1e-30
+        assert points[320][0] < 2.0**-60
+        head = ClusteringEngine(Config(75.0, 100))
+        for p in points[:300]:
+            head.assign(p)
+        assert screened
+        del screened[:]
+        plain, traced = (ClusteringEngine.from_state(head.state()) for _ in range(2))
+        for seq, p in enumerate(points[300:], start=300):
+            k = traced.cluster_count
+            outcome, matched, avgs = assign_profiled(traced, p)
+            assert outcome == plain.assign(p)
+            assert traced._screens == plain._screens == (seq < 320)
+            # every cluster's profile; the winner's is the outcome's
+            assert matched.size == avgs.size == k
+            if not outcome.created_new:
+                cid = outcome.assigned_cluster_id
+                assert (outcome.matched_count, outcome.qualifying_avg) == (
+                    matched[cid - 1], avgs[cid - 1]
+                )
+            if seq < 320:  # built at point 300 by the screen's start, then kept
+                assert_mirror_in_step(traced)
+            else:
+                assert traced._cents32 is None
+        assert traced.state() == plain.state()
+        # only the unhooked engine screened, and only until point 320
+        assert screened == list(range(300, 320))

@@ -25,18 +25,17 @@ from strictcluster.engine import ClusteringEngine
 from strictcluster.ingestion import _parse_csv_fields, _parse_jsonl_fields
 
 CFG2 = Config(60.0, 2)
-CFG3 = Config(60.0, 3)
 
 
-def only_point(text, fmt, config):
+def only_point(text, fmt, n_features):
     """The one point a PointStream reads from a one-line source."""
-    (point,) = PointStream(io.BytesIO(text.encode()), fmt, config)
+    (point,) = PointStream(io.BytesIO(text.encode()), fmt, n_features)
     return point
 
 
 class TestCsvLine:
     def test_parses_numbers(self):
-        dp = only_point("10,15.5,2e1", "csv", CFG3)
+        dp = only_point("10,15.5,2e1", "csv", 3)
         assert dp.features == (10.0, 15.5, 20.0)
         assert dp.label is None
 
@@ -59,16 +58,16 @@ class TestCsvLine:
 
     def test_wrong_arity(self):
         with pytest.raises(DimensionMismatch):
-            only_point("1,2", "csv", CFG3)
+            only_point("1,2", "csv", 3)
 
     def test_negative_value(self):
         with pytest.raises(NegativeFeature):
-            only_point("1,-2", "csv", CFG2)
+            only_point("1,-2", "csv", 2)
 
     def test_round_trip_is_exact(self):
-        dp = only_point("0.1,0.30000000000000004", "csv", CFG2)
+        dp = only_point("0.1,0.30000000000000004", "csv", 2)
         assert dp.features == (0.1, 0.30000000000000004)
-        again = only_point(",".join(map(repr, dp.features)), "csv", CFG2)
+        again = only_point(",".join(map(repr, dp.features)), "csv", 2)
         assert again.features == dp.features
 
     @given(
@@ -80,7 +79,7 @@ class TestCsvLine:
     )
     def test_round_trip_any_finite_vector(self, values):
         line = ",".join(repr(v) for v in values)
-        assert only_point(line, "csv", Config(60.0, len(values))).features == tuple(values)
+        assert only_point(line, "csv", len(values)).features == tuple(values)
 
     @given(
         st.lists(
@@ -130,12 +129,12 @@ def per_field_parse(line):
 
 class TestJsonlLine:
     def test_parses_object_with_label(self):
-        dp = only_point('{"features": [1, 2.5], "id": "a7"}', "jsonl", CFG2)
+        dp = only_point('{"features": [1, 2.5], "id": "a7"}', "jsonl", 2)
         assert dp.features == (1.0, 2.5)
         assert dp.label == "a7"
 
     def test_label_is_optional(self):
-        assert only_point('{"features": [1, 2]}', "jsonl", CFG2).label is None
+        assert only_point('{"features": [1, 2]}', "jsonl", 2).label is None
 
     def test_the_features_list_is_handed_on_as_read(self):
         # only the JSON shape is checked here; DataPoint judges the values
@@ -175,17 +174,17 @@ class TestJsonlLine:
     )
     def test_malformed_objects(self, line, fragment):
         with pytest.raises(ParseError) as exc:
-            only_point(line, "jsonl", CFG2)
+            only_point(line, "jsonl", 2)
         assert fragment in str(exc.value)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_a_non_finite_literal_is_not_finite(self, literal):
         with pytest.raises(NonFiniteFeature, match="^feature 2 is not finite: "):
-            only_point(f'{{"features": [1, {literal}]}}', "jsonl", CFG2)
+            only_point(f'{{"features": [1, {literal}]}}', "jsonl", 2)
 
     def test_the_width_is_judged_before_the_values(self):
         with pytest.raises(DimensionMismatch, match="^expected 2 features, got 3$"):
-            only_point('{"features": [1, "x", 3]}', "jsonl", CFG2)
+            only_point('{"features": [1, "x", 3]}', "jsonl", 2)
 
     @given(
         st.lists(
@@ -210,11 +209,10 @@ class TestJsonlLine:
         # the per-value type pass and validate_point together accepted, with
         # the same values, and fails with the same error class at the width
         line = json.dumps({"features": feats})
-        config = Config(60.0, width)
         outcomes = []
         for read in (
-            lambda: only_point(line, "jsonl", config).features,
-            lambda: validate_point(per_value_parse(line), config).features,
+            lambda: only_point(line, "jsonl", width).features,
+            lambda: validate_point(per_value_parse(line), width).features,
         ):
             try:
                 outcomes.append([repr(v) for v in read()])
@@ -224,9 +222,9 @@ class TestJsonlLine:
 
     def test_validation_still_applies(self):
         with pytest.raises(DimensionMismatch):
-            only_point('{"features": [1]}', "jsonl", CFG2)
+            only_point('{"features": [1]}', "jsonl", 2)
         with pytest.raises(NegativeFeature):
-            only_point('{"features": [1, -2]}', "jsonl", CFG2)
+            only_point('{"features": [1, -2]}', "jsonl", 2)
 
 
 def per_value_parse(line):
@@ -257,49 +255,49 @@ def engine_seqs(points, config):
 
 class TestPointStream:
     def test_assigns_consecutive_seqs(self):
-        stream = PointStream(io.BytesIO(b"1,2\n3,4\n5,6\n"), "csv", CFG2)
+        stream = PointStream(io.BytesIO(b"1,2\n3,4\n5,6\n"), "csv", 2)
         points = collect(stream)
         assert engine_seqs(points, CFG2) == [0, 1, 2]
         assert points[1].features == (3.0, 4.0)
 
-    def test_infers_config_from_first_record(self):
-        stream = PointStream(io.BytesIO(b"1,2,3\n4,5,6\n"), "csv", strictness=75.0)
-        assert stream.config is None
+    def test_infers_the_width_from_the_first_record(self):
+        stream = PointStream(io.BytesIO(b"1,2,3\n4,5,6\n"), "csv")
+        assert stream.n_features is None
         points = collect(stream)
-        assert stream.config == Config(75.0, 3)
+        assert stream.n_features == 3
         assert len(points) == 2
 
     def test_header_line_is_skipped(self):
-        points = collect(PointStream(io.BytesIO(b"x,y\n1,2\n"), "csv", CFG2))
+        points = collect(PointStream(io.BytesIO(b"x,y\n1,2\n"), "csv", 2))
         assert [p.features for p in points] == [(1.0, 2.0)]
 
     def test_numeric_first_line_is_not_a_header(self):
-        points = collect(PointStream(io.BytesIO(b"1,2\n3,4\n"), "csv", CFG2))
+        points = collect(PointStream(io.BytesIO(b"1,2\n3,4\n"), "csv", 2))
         assert len(points) == 2
 
     def test_digit_separated_first_field_is_not_a_number(self):
         # one definition of "number" for data and for header detection
-        points = collect(PointStream(io.BytesIO(b"1_0,2\n3,4\n"), "csv", CFG2))
+        points = collect(PointStream(io.BytesIO(b"1_0,2\n3,4\n"), "csv", 2))
         assert [p.features for p in points] == [(3.0, 4.0)]
-        stream = PointStream(io.BytesIO(b"1,2\n1_0,2\n"), "csv", CFG2)
+        stream = PointStream(io.BytesIO(b"1,2\n1_0,2\n"), "csv", 2)
         with pytest.raises(ParseError) as exc:
             collect(stream)
         assert exc.value.line_number == 2
 
     def test_header_detection_only_applies_to_the_first_content_line(self):
-        stream = PointStream(io.BytesIO(b"1,2\nx,y\n"), "csv", CFG2)
+        stream = PointStream(io.BytesIO(b"1,2\nx,y\n"), "csv", 2)
         with pytest.raises(ParseError) as exc:
             collect(stream)
         assert exc.value.line_number == 2
 
     def test_blank_lines_are_ignored_everywhere(self):
         text = "\n\nx,y\n1,2\n\n3,4\n   \n"
-        points = collect(PointStream(io.BytesIO(text.encode()), "csv", CFG2))
+        points = collect(PointStream(io.BytesIO(text.encode()), "csv", 2))
         assert [p.features for p in points] == [(1.0, 2.0), (3.0, 4.0)]
 
     def test_crlf_and_bytes_sources(self, tmp_path, capsys):
         data = b"1,2\r\n3,4\r\n"
-        points = collect(PointStream(io.BytesIO(data), "csv", CFG2))
+        points = collect(PointStream(io.BytesIO(data), "csv", 2))
         assert [p.features for p in points] == [(1.0, 2.0), (3.0, 4.0)]
         # through --input, a CRLF file gives what the same file with LF endings does
         code, out, err = run_cli("file", data, [], tmp_path, capsys)
@@ -319,14 +317,14 @@ class TestPointStream:
         assert [json.loads(line)["seq"] for line in out.splitlines()] == [0]
         assert err == "strictcluster: skipped line 2: column 2: '2\\r3' is not a number\n"
         seen = []
-        stream = PointStream(io.BytesIO(data), "csv", CFG2, on_skip=seen.append)
+        stream = PointStream(io.BytesIO(data), "csv", 2, on_skip=seen.append)
         assert [p.features for p in collect(stream)] == [(5.0, 6.0)]
         assert [
             f"strictcluster: skipped line {e.line_number}: {e}\n" for e in seen
         ] == [err]
 
     def test_halt_raises_with_line_number(self):
-        stream = PointStream(io.BytesIO(b"1,2\n1,oops\n3,4\n"), "csv", CFG2)
+        stream = PointStream(io.BytesIO(b"1,2\n1,oops\n3,4\n"), "csv", 2)
         it = iter(stream)
         assert next(it).features == (1.0, 2.0)
         with pytest.raises(ParseError) as exc:
@@ -338,7 +336,7 @@ class TestPointStream:
         stream = PointStream(
             io.BytesIO(b"1,2\n1,oops\n3,4\n5,-1\n7,8\n"),
             "csv",
-            CFG2,
+            2,
             on_skip=seen.append,
         )
         points = collect(stream)
@@ -350,7 +348,7 @@ class TestPointStream:
         assert str(seen[0]) == "column 2: 'oops' is not a number"
 
     def test_width_change_mid_stream(self):
-        stream = PointStream(io.BytesIO(b"1,2\n1,2,3\n"), "csv", strictness=60.0)
+        stream = PointStream(io.BytesIO(b"1,2\n1,2,3\n"), "csv")
         with pytest.raises(DimensionMismatch) as exc:
             collect(stream)
         assert exc.value.line_number == 2
@@ -370,32 +368,36 @@ class TestPointStream:
         # the first valid line fixes the width, not the first line read
         seen = []
         stream = PointStream(
-            io.BytesIO(text.encode()), fmt, strictness=60.0, on_skip=seen.append
+            io.BytesIO(text.encode()), fmt, on_skip=seen.append
         )
         assert [p.features for p in collect(stream)] == [(1.0, 2.0), (3.0, 4.0)]
-        assert stream.config == CFG2
+        assert stream.n_features == 2
         assert [e.line_number for e in seen] == [1]
         # under halt, the bad line ends the stream before any width is fixed
-        stream = PointStream(io.BytesIO(text.encode()), fmt, strictness=60.0)
+        stream = PointStream(io.BytesIO(text.encode()), fmt)
         with pytest.raises(ClusteringError) as exc:
             collect(stream)
-        assert (exc.value.line_number, stream.config) == (1, None)
+        assert (exc.value.line_number, stream.n_features) == (1, None)
 
     def test_jsonl_stream_carries_labels(self):
         text = '{"features": [1, 2], "id": "a"}\n{"features": [3, 4]}\n'
-        points = collect(PointStream(io.BytesIO(text.encode()), "jsonl", CFG2))
+        points = collect(PointStream(io.BytesIO(text.encode()), "jsonl", 2))
         assert [p.label for p in points] == ["a", None]
 
     def test_empty_source_yields_nothing(self):
-        stream = PointStream(io.BytesIO(b""), "csv", strictness=60.0)
+        stream = PointStream(io.BytesIO(b""), "csv")
         assert collect(stream) == []
-        assert stream.config is None
+        assert stream.n_features is None
 
     def test_constructor_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            PointStream(io.BytesIO(b""), "tsv", CFG2)
-        with pytest.raises(ValueError):
-            PointStream(io.BytesIO(b""), "csv")  # neither config nor strictness
+            PointStream(io.BytesIO(b""), "tsv", 2)
+        # the width is the one setting a stream checks: a Config is no width
+        for width in (0, -1, True, 2.0, "2", CFG2):
+            with pytest.raises(ValueError, match="n_features must be a positive int or None"):
+                PointStream(io.BytesIO(b""), "csv", width)
+        with pytest.raises(TypeError):
+            PointStream(io.BytesIO(b""), "csv", strictness=500.0)
 
 
 # line 2 of each holds the byte 0xff, which no UTF-8 text holds
@@ -432,7 +434,7 @@ def run_cli(route, data, argv, tmp_path, capsys):
 class TestEncoding:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_bytes_not_utf8_halt_at_their_line(self, fmt):
-        stream = PointStream(io.BytesIO(NOT_UTF8[fmt]), fmt, CFG2)
+        stream = PointStream(io.BytesIO(NOT_UTF8[fmt]), fmt, 2)
         with pytest.raises(ParseError, match="^not valid UTF-8$") as exc:
             collect(stream)
         assert exc.value.line_number == 2
@@ -440,7 +442,7 @@ class TestEncoding:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_bytes_not_utf8_are_skipped_as_a_bad_line(self, fmt):
         seen = []
-        stream = PointStream(io.BytesIO(NOT_UTF8[fmt]), fmt, CFG2, on_skip=seen.append)
+        stream = PointStream(io.BytesIO(NOT_UTF8[fmt]), fmt, 2, on_skip=seen.append)
         assert [p.features for p in collect(stream)] == [(1.0, 2.0), (3.0, 4.0)]
         assert [(e.line_number, str(e)) for e in seen] == [(2, "not valid UTF-8")]
 
@@ -468,14 +470,14 @@ class TestEncoding:
         assert json.loads(out.splitlines()[-1])["points_seen"] == 2
 
     def test_a_first_line_not_utf8_is_not_taken_as_a_header(self):
-        stream = PointStream(io.BytesIO(b"\xff,y\n1,2\n"), "csv", CFG2)
+        stream = PointStream(io.BytesIO(b"\xff,y\n1,2\n"), "csv", 2)
         with pytest.raises(ParseError, match="^not valid UTF-8$") as exc:
             collect(stream)
         assert exc.value.line_number == 1
         # it is the first content line, so the line after it is no header either
         seen = []
         stream = PointStream(
-            io.BytesIO(b"\xff,y\nx,y\n1,2\n"), "csv", CFG2, on_skip=seen.append
+            io.BytesIO(b"\xff,y\nx,y\n1,2\n"), "csv", 2, on_skip=seen.append
         )
         assert [p.features for p in collect(stream)] == [(1.0, 2.0)]
         assert [(e.line_number, str(e)) for e in seen] == [
@@ -492,7 +494,7 @@ class TestEncoding:
         ids=["csv-bytes", "csv-header-bytes", "jsonl-bytes"],
     )
     def test_one_byte_order_mark_at_the_start_is_dropped(self, fmt, text):
-        points = collect(PointStream(io.BytesIO(text.encode()), fmt, CFG2))
+        points = collect(PointStream(io.BytesIO(text.encode()), fmt, 2))
         assert [p.features for p in points] == [(3.0, 4.0), (3.0, 4.0)]
 
     @pytest.mark.parametrize(
@@ -505,7 +507,7 @@ class TestEncoding:
         ],
     )
     def test_a_byte_order_mark_elsewhere_is_a_parse_error(self, fmt, text, bad_line):
-        stream = PointStream(io.BytesIO(text.encode()), fmt, CFG2)
+        stream = PointStream(io.BytesIO(text.encode()), fmt, 2)
         with pytest.raises(ParseError) as exc:
             collect(stream)
         assert exc.value.line_number == bad_line

@@ -71,27 +71,27 @@ class TestConfig:
 
 class TestValidatePoint:
     def test_coerces_to_float_tuple(self):
-        dp = validate_point([1, 2.5, 3], Config(60.0, 3), label="a")
+        dp = validate_point([1, 2.5, 3], 3, label="a")
         assert dp.features == (1.0, 2.5, 3.0)
         assert isinstance(dp.features, tuple)
         assert dp.label == "a"
 
     def test_zero_and_negative_zero_are_fine(self):
-        dp = validate_point([0.0, -0.0], Config(60.0, 2))
+        dp = validate_point([0.0, -0.0], 2)
         assert dp.features == (0.0, 0.0)
 
     def test_width_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            validate_point([1.0, 2.0], Config(60.0, 3))
+            validate_point([1.0, 2.0], 3)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite(self, bad):
         with pytest.raises(NonFiniteFeature):
-            validate_point([1.0, bad], Config(60.0, 2))
+            validate_point([1.0, bad], 2)
 
     def test_negative(self):
         with pytest.raises(NegativeFeature) as exc:
-            validate_point([1.0, -0.25], Config(60.0, 2))
+            validate_point([1.0, -0.25], 2)
         assert "feature 2" in str(exc.value)
 
     @given(
@@ -102,7 +102,7 @@ class TestValidatePoint:
         )
     )
     def test_accepts_any_finite_nonnegative_vector(self, values):
-        dp = validate_point(values, Config(60.0, len(values)))
+        dp = validate_point(values, len(values))
         assert dp.features == tuple(values)
 
     @given(
@@ -121,18 +121,18 @@ class TestValidatePoint:
     def test_agrees_with_a_per_value_check(self, values, wrong_width):
         # the accept-at-once route (finite sum, nonnegative min) must give the
         # same point, or the same error for the same first bad feature
-        config = Config(60.0, len(values) + wrong_width)
+        width = len(values) + wrong_width
         outcomes = []
         for validate in (validate_point, per_value_validate_point):
             try:
-                dp = validate(values, config, label="x")
+                dp = validate(values, width, label="x")
                 outcomes.append((dp.label, [repr(v) for v in dp.features]))
             except (DimensionMismatch, NonFiniteFeature, NegativeFeature) as err:
                 outcomes.append((type(err), str(err)))
         assert outcomes[0] == outcomes[1]
 
     def test_finite_vector_whose_sum_overflows_is_valid(self):
-        dp = validate_point([1e308, 1e308], Config(60.0, 2))
+        dp = validate_point([1e308, 1e308], 2)
         assert dp.features == (1e308, 1e308)
 
 
@@ -185,11 +185,11 @@ class TestDataPoint:
         assert DataPoint(iter([1.5, 2.0])).features == (1.5, 2.0)
 
 
-def per_value_validate_point(features, config, label=None):
+def per_value_validate_point(features, n_features, label=None):
     """validate_point checking one value at a time: the reference."""
     vals = tuple(float(v) for v in features)
-    if len(vals) != config.n_features:
-        raise DimensionMismatch(f"expected {config.n_features} features, got {len(vals)}")
+    if len(vals) != n_features:
+        raise DimensionMismatch(f"expected {n_features} features, got {len(vals)}")
     for j, v in enumerate(vals):
         if not math.isfinite(v):
             raise NonFiniteFeature(f"feature {j + 1} is not finite: {v!r}")

@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import strictcluster
-from strictcluster import ClusteringError, Config, should_match_features
+from strictcluster import ClusteringEngine, ClusteringError, Config, should_match_features
 from strictcluster.engine import _FILTER_MIN_SKIPPED, _head_rows
 
 from golden import GOLDEN_ASSIGNMENTS, GOLDEN_POINTS
@@ -40,6 +40,17 @@ def test_library_use_names_every_public_name():
             continue  # errors are listed as ClusteringError and its subclasses
         assert f"`{name}" in section, name
     assert "`ClusteringError` and its subclasses" in section
+
+
+def test_the_engine_row_names_exactly_the_engine_s_public_methods():
+    # a removed method cannot stay in the docs, nor a new one go undocumented
+    [row] = [line for line in library_use().splitlines() if "| `ClusteringEngine`:" in line]
+    listed = re.findall(r"`(\w+)`", row.split("`ClusteringEngine`:", 1)[1])
+    methods = [
+        name for name in dir(ClusteringEngine)
+        if not name.startswith("_") and callable(getattr(ClusteringEngine, name))
+    ]
+    assert sorted(listed) == methods
 
 
 def test_library_use_names_only_public_names():

@@ -1,8 +1,8 @@
 """Unit tests for the ratio similarity, the band, and per-cluster profiles.
 
 The band, the fold of overshoot and the per-cluster profile are read from
-the engine's profiles against clusters of given centroids, and checked
-against the scalar profile of the naive reference.
+the profile hook of the engine's assign against clusters of given
+centroids, and checked against the scalar profile of the naive reference.
 """
 
 import math
@@ -25,7 +25,7 @@ from strictcluster import (
 )
 
 from golden import GOLDEN_CENTROIDS, GOLDEN_POINTS, GOLDEN_TIEBREAK_AVGS
-from reference import naive_profile, naive_similarity, profile_pairs
+from reference import assign_profiled, naive_profile, naive_similarity, profile_pairs
 
 # Dyadic rationals are closed under the arithmetic in these formulas, so
 # properties that would be approximate on arbitrary doubles hold exactly.
@@ -78,10 +78,11 @@ def cluster_with_centroid(values, cid=1):
 
 
 def engine_arrays(point, centroids, strictness):
-    """The engine's profiles() of ``point`` against one cluster per centroid."""
+    """The engine's matched counts and averages of ``point`` against one
+    cluster per centroid, from assign's profile hook."""
     clusters = tuple(cluster_with_centroid(c, i) for i, c in enumerate(centroids, start=1))
     state = ClusterState(Config(strictness, len(point)), clusters, points_seen=len(clusters))
-    return ClusteringEngine.from_state(state).profiles(point)
+    return assign_profiled(ClusteringEngine.from_state(state), point)[1:]
 
 
 def engine_profiles(point, centroids, strictness):
@@ -169,7 +170,7 @@ class TestMatchProfile:
         assert avg3 > avg1
 
     def test_no_qualifier_gives_none_average(self):
-        # profiles() marks the missing average nan, which profile_pairs reads as None
+        # the hook marks the missing average nan, which profile_pairs reads as None
         matched, avgs = engine_arrays([1000.0, 1000.0], [[1.0, 1.0]], 60.0)
         assert matched.tolist() == [0]
         assert math.isnan(avgs[0])
