@@ -40,13 +40,9 @@ _SUBMODULE = {
     "SnapshotFormatError": "errors",
     "StrictnessOutOfRange": "errors",
     "VersionUnsupported": "errors",
-    "feature_similarity": "engine",
     "load_snapshot": "persistence",
-    "qualifying_range": "engine",
     "run_stream": "engine",
     "save_snapshot": "persistence",
-    "should_match_features": "engine",
-    "validate_point": "model",
     "verify_state": "model",
 }
 

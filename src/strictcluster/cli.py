@@ -20,12 +20,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .engine import (
-    ClusteringEngine,
-    feature_similarity,
-    qualifying_range,
-    should_match_features,
-)
+from .engine import ClusteringEngine, feature_similarity
 from .errors import ClusteringError
 from .ingestion import PointStream
 from .model import (
@@ -221,7 +216,8 @@ def _decision_text(outcome: AssignmentOutcome) -> str:
 
 class _TraceTexts:
     """The texts that one invocation's --trace tables are taken from, built at
-    its first traced point.
+    its first traced point. The header is the engine's own band and need,
+    read from it as ``_on_profile`` is: a private contract with the engine.
 
     ``pool`` is one object array: the integer parts' texts "0" to "999"
     (_int_texts), "" (EMPTY), then at the pool indices in ``spaced`` and
@@ -238,11 +234,9 @@ class _TraceTexts:
     EMPTY = 1000
 
     def __init__(self, engine: ClusteringEngine):
-        cfg = engine.config
-        self.n = n = cfg.n_features
-        lo, hi = qualifying_range(cfg.strictness)
-        need = should_match_features(cfg)
-        self.head = f"band [{_exact(lo)}, {_exact(hi)}], needs {need} of {n}\n"
+        self.n = n = engine.config.n_features
+        band = f"band [{_exact(engine._lo)}, {_exact(engine._hi)}]"
+        self.head = f"{band}, needs {engine._need} of {n}\n"
         self._texts = [
             *_int_texts(),
             "",

@@ -1,11 +1,12 @@
 """Single-pass streaming assignment loop.
 
-Every arriving point is checked against all current clusters. Clusters whose
-matched-feature count reaches the should-match threshold form the qualified
-list; the point joins the best of them (most matched features, then highest
-average of scaled qualifying similarities, then earliest-created), or founds
-a new cluster when the list is empty. Centroids are maintained as running
-sums divided by member count.
+Every arriving point is checked against all current clusters. A feature
+matches when its similarity lies in the band [s, 200 - s], which the engine
+holds in ``_lo`` and ``_hi``. Clusters whose matched-feature count reaches
+the should-match threshold form the qualified list; the point joins the best
+of them (most matched features, then highest average of scaled qualifying
+similarities, then earliest-created), or founds a new cluster when the list
+is empty. Centroids are maintained as running sums divided by member count.
 
 Once k is large, :meth:`ClusteringEngine.assign` count-filters first. A
 qualifier misses at most n - need features, so among the first m feature
@@ -87,6 +88,9 @@ def feature_similarity(datapoint_value: float, centroid_value: float) -> float |
     identical values and score 100. The value is scaled by 100 before the
     division; only when that product overflows (value above about 1.8e306)
     is the ratio taken first, as 100 * (value / centroid).
+
+    The scalar form that the CLI's --trace cells and the tests read, not a
+    public name; ROADMAP item 3 deletes it.
     """
     if centroid_value == 0.0:
         return 100.0 if datapoint_value == 0.0 else None
@@ -94,11 +98,6 @@ def feature_similarity(datapoint_value: float, centroid_value: float) -> float |
     if math.isinf(scaled):
         return 100.0 * (datapoint_value / centroid_value)
     return scaled / centroid_value
-
-
-def qualifying_range(strictness: float) -> tuple[float, float]:
-    """Inclusive similarity band for a matched feature: (strictness, 200 - strictness)."""
-    return strictness, 200.0 - strictness
 
 
 def _decimal_ratio(value: float) -> tuple[int, int]:
@@ -191,7 +190,7 @@ class ClusteringEngine:
     def __init__(self, config: Config):
         self.config = config
         self._n = config.n_features
-        self._lo, self._hi = qualifying_range(config.strictness)
+        self._lo, self._hi = config.strictness, 200.0 - config.strictness
         self._need = should_match_features(config)
         self._count_type = np.min_scalar_type(self._n)
         self._head = _head_rows(self._n, self._need)

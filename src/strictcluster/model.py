@@ -113,7 +113,10 @@ def validate_point(
     label: str | None = None,
 ) -> DataPoint:
     """Check that a feature vector has ``n_features`` features and wrap it as
-    a DataPoint, which checks its values. ParseError for what has no width."""
+    a DataPoint, which checks its values. ParseError for what has no width.
+
+    Not a public name: its callers, ``PointStream`` and the engine, pass an
+    int width, so no point pays for a check of the width's type."""
     try:
         width = len(features)
     except TypeError:

@@ -15,14 +15,13 @@ from strictcluster import (
     ClusteringEngine,
     Config,
     DecisionPath,
-    feature_similarity,
     load_snapshot,
     run_stream,
     save_snapshot,
-    should_match_features,
-    validate_point,
     verify_state,
 )
+from strictcluster.engine import feature_similarity, should_match_features
+from strictcluster.model import validate_point
 
 from generators import power_of_two_factors, random_case, throughput_points
 from golden import (

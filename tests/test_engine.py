@@ -30,11 +30,10 @@ from strictcluster import (
     NegativeFeature,
     ParseError,
     run_stream,
-    should_match_features,
     verify_state,
 )
 from strictcluster import engine as engine_module
-from strictcluster.engine import _fixups, _head_rows, _qualifying_avg
+from strictcluster.engine import _fixups, _head_rows, _qualifying_avg, should_match_features
 
 from generators import (
     STRICTNESS_CHOICES,
@@ -911,13 +910,19 @@ def outcome_keys(outcomes):
 IN_SCREEN_RANGE = st.floats(2.0**-60, 2.0**60)
 
 
+def band(strictness):
+    """The inclusive similarity band [lo, hi] of an engine at ``strictness``."""
+    eng = ClusteringEngine(Config(strictness, 1))
+    return eng._lo, eng._hi
+
+
 @st.composite
 def screen_cases(draw):
     """A strictness, a point and an n by k centroid matrix in the screen's
     range, most cells at a similarity near or on the band's edges."""
     strictness = draw(st.sampled_from(STRICTNESS_CHOICES))
     n, k = draw(st.integers(1, 24)), draw(st.integers(1, 8))
-    lo, hi = engine_module.qualifying_range(strictness)
+    lo, hi = band(strictness)
     ratio = (
         st.sampled_from([lo, hi])
         | st.floats(lo * 0.999, hi * 1.001)
@@ -966,7 +971,7 @@ def edge_streams():
     and each target on a band edge or one float64 ulp either side of it."""
     n = 20
     for strictness in EDGE_STRICTNESS:
-        lo, hi = engine_module.qualifying_range(strictness)
+        lo, hi = band(strictness)
         targets = [  # (target, outward, in band)
             (math.nextafter(lo, -math.inf), -1, False),
             (lo, -1, True),

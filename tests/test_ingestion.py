@@ -18,11 +18,11 @@ from strictcluster import (
     NonFiniteFeature,
     ParseError,
     PointStream,
-    validate_point,
 )
 from strictcluster.cli import main
 from strictcluster.engine import ClusteringEngine
 from strictcluster.ingestion import _parse_csv_fields, _parse_jsonl_fields
+from strictcluster.model import validate_point
 
 CFG2 = Config(60.0, 2)
 

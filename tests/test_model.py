@@ -25,9 +25,9 @@ from strictcluster import (
     ParseError,
     StrictnessOutOfRange,
     run_stream,
-    validate_point,
     verify_state,
 )
+from strictcluster.model import validate_point
 
 from golden import GOLDEN_ILL_TYPED, GOLDEN_N_FEATURES, GOLDEN_POINTS, GOLDEN_STRICTNESS
 

@@ -1,5 +1,6 @@
 """Package metadata: the distribution and the package agree."""
 
+import ast
 import gc
 import importlib
 import json
@@ -90,6 +91,61 @@ def test_dir_lists_the_public_names_and_nothing_else_resolves():
     assert dir(strictcluster) == sorted(strictcluster.__all__)
     with pytest.raises(AttributeError, match="has no attribute 'process_main'"):
         strictcluster.process_main
+
+
+@pytest.mark.parametrize(
+    "name", ["feature_similarity", "qualifying_range", "should_match_features", "validate_point"]
+)
+def test_a_name_that_only_the_cli_or_the_tests_read_is_not_public(name):
+    assert name not in strictcluster.__all__
+    with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+        getattr(strictcluster, name)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [("engine", "feature_similarity"), ("engine", "should_match_features"), ("model", "validate_point")],
+)
+def test_a_helper_that_left_the_root_stays_in_its_submodule(module, name):
+    assert callable(getattr(importlib.import_module(f"strictcluster.{module}"), name))
+
+
+PACKAGE_DIR = Path(strictcluster.__file__).resolve().parent
+
+
+def root_imports(source):
+    """The names that a module of the package imports from the package root:
+    ``import strictcluster``, ``from strictcluster import x`` and
+    ``from . import x`` where x is no submodule; and the count of all its
+    imports."""
+    submodules = {path.stem for path in PACKAGE_DIR.glob("*.py")}
+    found, seen = [], 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            seen += 1
+            found += [a.name for a in node.names if a.name.split(".")[0] == "strictcluster"]
+        elif isinstance(node, ast.ImportFrom):
+            seen += 1
+            root = (node.level == 1 and node.module is None) or (
+                node.level == 0 and node.module == "strictcluster"
+            )
+            if root:
+                found += [a.name for a in node.names if a.name not in submodules]
+    return found, seen
+
+
+def test_the_package_imports_its_own_names_from_submodules_only():
+    # so a shorter __all__ cannot break the program itself
+    assert root_imports("import strictcluster\nfrom . import Config, engine\n") == (
+        ["strictcluster", "Config"],
+        2,
+    )
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert {path.name for path in modules} >= {"cli.py", "engine.py", "model.py"}
+    for path in modules:
+        found, seen = root_imports(path.read_text(encoding="utf-8"))
+        assert found == [], path.name
+        assert seen, path.name  # the walk saw the module's imports
 
 
 def test_submodules_import_from_the_package():

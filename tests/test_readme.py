@@ -2,12 +2,13 @@
 the package it documents."""
 
 import builtins
+import inspect
 import re
 from pathlib import Path
 
 import strictcluster
-from strictcluster import ClusteringEngine, ClusteringError, Config, should_match_features
-from strictcluster.engine import _FILTER_MIN_SKIPPED, _head_rows
+from strictcluster import ClusteringEngine, ClusteringError, Config
+from strictcluster.engine import _FILTER_MIN_SKIPPED, _head_rows, should_match_features
 
 from golden import GOLDEN_ASSIGNMENTS, GOLDEN_POINTS
 
@@ -51,6 +52,22 @@ def test_the_engine_row_names_exactly_the_engine_s_public_methods():
         if not name.startswith("_") and callable(getattr(ClusteringEngine, name))
     ]
     assert sorted(listed) == methods
+
+
+def test_the_table_names_only_public_functions():
+    # a lowercase name, bare or called, in the table's code spans; the
+    # engine's methods and the public callables' parameters are no functions
+    exempt = {name for name in dir(ClusteringEngine) if not name.startswith("_")}
+    for name in strictcluster.__all__:
+        obj = getattr(strictcluster, name)
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, ClusteringError)):
+            exempt |= set(inspect.signature(obj).parameters)
+    rows = [line for line in library_use().splitlines() if line.startswith("| ")]
+    spans = re.findall(r"`([^`]*)`", "\n".join(rows))
+    named = {m[1] for m in map(re.compile(r"([a-z_]\w*)(\(.*\))?$").match, spans) if m}
+    assert {"run_stream", "verify_state", "on_skip"} <= named  # the pattern finds what it should
+    for name in named - exempt:
+        assert name in strictcluster.__all__ or hasattr(builtins, name), name
 
 
 def test_library_use_names_only_public_names():

@@ -19,10 +19,9 @@ from strictcluster import (
     DataPoint,
     DimensionMismatch,
     InvariantViolation,
-    feature_similarity,
-    qualifying_range,
     verify_state,
 )
+from strictcluster.engine import feature_similarity
 
 from golden import GOLDEN_CENTROIDS, GOLDEN_POINTS, GOLDEN_TIEBREAK_AVGS
 from reference import assign_profiled, naive_profile, naive_similarity, profile_pairs
@@ -101,9 +100,9 @@ def qualifies(d, c, strictness):
 
 class TestQualifyingBand:
     def test_range_endpoints(self):
-        assert qualifying_range(60.0) == (60.0, 140.0)
-        assert qualifying_range(100.0) == (100.0, 100.0)
-        assert qualifying_range(0.5) == (0.5, 199.5)
+        for s, hi in ((60.0, 140.0), (100.0, 100.0), (0.5, 199.5)):
+            eng = ClusteringEngine(Config(s, 1))
+            assert (eng._lo, eng._hi) == (s, hi)
 
     def test_band_is_inclusive_and_exact(self):
         # 100 * d / 100 is d itself for each of these d
