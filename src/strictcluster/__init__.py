@@ -34,8 +34,6 @@ _SUBMODULE = {
     "NonFiniteFeature": "errors",
     "ParseError": "errors",
     "PointStream": "ingestion",
-    "SNAPSHOT_FORMAT": "persistence",
-    "SNAPSHOT_VERSION": "persistence",
     "SnapshotError": "errors",
     "SnapshotFormatError": "errors",
     "StrictnessOutOfRange": "errors",

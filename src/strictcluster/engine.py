@@ -227,10 +227,6 @@ class ClusteringEngine:
     def cluster_count(self) -> int:
         return len(self._counts)
 
-    @property
-    def points_seen(self) -> int:
-        return self._points_seen
-
     def centroids(self) -> np.ndarray:
         """Copy of the current centroid matrix, one row per cluster in id order:
         each cluster's feature sums divided by its member count, the IEEE

@@ -11,7 +11,9 @@ class ClusteringError(Exception):
     assigning that line's point, by the CLI. ``point_seq`` is the 0-based
     stream position of the point that
     :meth:`~strictcluster.engine.ClusteringEngine.assign` was placing, set
-    by ``assign`` itself. Each stays ``None`` otherwise.
+    by ``assign`` itself. Each stays ``None`` otherwise. These two are the
+    only fields an error carries; anything finer, such as a position
+    within the line, is in its message.
     """
 
     line_number: int | None = None
@@ -44,11 +46,10 @@ class FeatureSumOverflow(ClusteringError):
 
 class ParseError(ClusteringError):
     """A line of input text could not be parsed into a feature vector, or a
-    feature given to a DataPoint is no number it takes (see DataPoint)."""
+    feature given to a DataPoint is no number it takes (see DataPoint).
 
-    def __init__(self, message: str, column: int | None = None):
-        super().__init__(message)
-        self.column = column
+    Where in the line is said in the message alone: a CSV field by its
+    1-based column, a JSON syntax error by its 1-based character."""
 
 
 class InvariantViolation(ClusteringError):

@@ -45,9 +45,7 @@ def _parse_csv_fields(line: str) -> list[float]:
         try:
             values.append(_csv_number(text))
         except ValueError:
-            raise ParseError(
-                f"column {col}: {text!r} is not a number", column=col
-            ) from None
+            raise ParseError(f"column {col}: {text!r} is not a number") from None
     return values
 
 
@@ -56,7 +54,7 @@ def parse_json(text: str) -> object:
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
-        raise ParseError(f"invalid JSON: {err.msg}", column=err.colno) from None
+        raise ParseError(f"invalid JSON at character {err.pos + 1}: {err.msg}") from None
     except ValueError:  # an integer literal past the interpreter's digit limit
         raise ParseError("invalid JSON: integer literal too long") from None
     except RecursionError:

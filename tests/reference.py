@@ -8,8 +8,13 @@ bug in one of the two.
 Summation orders are the natural ones (feature order within a point, member
 order within a cluster), which are also the orders the engine uses, so
 matching results can be asserted bit-for-bit, not just approximately.
+
+``checksummed`` frames a snapshot payload as a save does, so a test can
+write a file of any payload under a valid checksum.
 """
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -132,3 +137,17 @@ def naive_run(strictness, n_features, points):
     clusterer = NaiveClusterer(strictness, n_features)
     results = [clusterer.add(p) for p in points]
     return clusterer, results
+
+
+def checksummed(payload):
+    """The text of a snapshot file whose payload line is ``payload``: the
+    header line, compact, with the payload's SHA-256, then the payload line."""
+    header = json.dumps(
+        {
+            "format": "strictcluster-snapshot",
+            "format_version": 1,
+            "payload_sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+        },
+        separators=(",", ":"),
+    )
+    return header + "\n" + payload + "\n"

@@ -238,7 +238,7 @@ def test_criterion_6_throughput(capsys):
             f"  - {total:.2f} s total, {eng.cluster_count} clusters,"
             f" per-point {per_point[0] * 1e6:.0f} -> {per_point[-1] * 1e6:.0f} us"
         )
-        assert eng.points_seen == 100_000
+        assert eng.state().points_seen == 100_000
         assert total < 60.0
         assert eng.cluster_count >= 500  # "many clusters" is part of the setup
         k_growth = k_mid[-1] / k_mid[0]

@@ -40,6 +40,7 @@ from strictcluster.cli import (
     main,
 )
 
+from children import ENV, PYTHON
 from generators import anchored_points, throughput_points
 from golden import GOLDEN_CSV, GOLDEN_N_FEATURES, GOLDEN_POINTS, GOLDEN_STRICTNESS
 from reference import (
@@ -204,11 +205,11 @@ class TestRun:
 
         def score_spy(self, f, cents, *flags):
             if f.size == self._n:
-                passes.append((self.points_seen, self.cluster_count, cents.shape[1]))
+                passes.append((self._points_seen, self.cluster_count, cents.shape[1]))
             return score(self, f, cents, *flags)
 
         def screen_spy(self, *args):
-            screened.append(self.points_seen)
+            screened.append(self._points_seen)
             return screen(self, *args)
 
         monkeypatch.setattr(ClusteringEngine, "_score", score_spy)
@@ -357,6 +358,7 @@ class TestRun:
             ("jsonl", b'{"features": []}', '"features" must be a non-empty array of numbers'),
             ("jsonl", b'{"features": [1, 2], "id": "\xff"}', "not valid UTF-8"),
             ("jsonl", b'{"features": [1, 2, 3]}', "expected 2 features, got 3"),
+            ("jsonl", b'{"features": [1,', "invalid JSON at character 17: Expecting value"),
         ]:
             good = [b"1,2", b"3,4"] if fmt == "csv" else [
                 b'{"features": [1, 2]}', b'{"features": [3, 4]}'
@@ -1001,11 +1003,12 @@ def render_trace(points, config, start=0):
 class TestSubprocess:
     def test_module_entry_point(self, golden_csv):
         proc = subprocess.run(
-            [sys.executable, "-m", "strictcluster", "run", "--strictness", "60",
+            [PYTHON, "-m", "strictcluster", "run", "--strictness", "60",
              "--input", str(golden_csv), "--summary"],
             capture_output=True,
             text=True,
             timeout=60,
+            env=ENV,
         )
         assert proc.returncode == 0
         assert records_of(proc.stdout)[-1]["sizes"] == [2, 2, 2]
@@ -1027,10 +1030,11 @@ class TestSubprocess:
         args = "run --strictness 60" if command == "run" else 'inspect --snapshot-in "$1"'
         proc = subprocess.run(
             ["sh", "-c", f'exec "$0" -m strictcluster {args} {redirect}',
-             sys.executable, str(snap)],
+             PYTHON, str(snap)],
             input=None if stream == "stdin" else b"1,2\n",
             capture_output=True,
             timeout=60,
+            env=ENV,
         )
         assert proc.returncode == 1
         assert proc.stderr.decode() == f"strictcluster: error: {stream} is closed\n"
@@ -1039,10 +1043,10 @@ class TestSubprocess:
     def run_child(args, stdin, redirect=""):
         # stderr buffered, as in a plain shell: PYTHONUNBUFFERED would hide a
         # failed write that Python retries when it flushes at exit
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
         return subprocess.run(
             ["sh", "-c", f'exec "$0" -m strictcluster run --strictness 60 "$@" {redirect}',
-             sys.executable, *args],
+             PYTHON, *args],
             input=stdin,
             capture_output=True,
             timeout=60,
@@ -1149,9 +1153,10 @@ class TestSubprocess:
         # the absent input shows the refusal comes before the input is read
         proc = subprocess.run(
             ["sh", "-c", f'exec "$0" -m strictcluster {command} "$1" --input "$2" '
-             f'{redirect} "$1"', sys.executable, snap, tmp_path / "absent.csv"],
+             f'{redirect} "$1"', PYTHON, snap, tmp_path / "absent.csv"],
             capture_output=True,
             timeout=60,
+            env=ENV,
         )
         flag = command.split()[-1]
         assert proc.returncode == 1

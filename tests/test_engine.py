@@ -2,21 +2,17 @@
 
 import dataclasses
 import math
-import os
 import random
 import re
-import subprocess
 import sys
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import strictcluster
 from strictcluster import (
     Cluster,
     ClusteringEngine,
@@ -35,6 +31,7 @@ from strictcluster import (
 from strictcluster import engine as engine_module
 from strictcluster.engine import _fixups, _head_rows, _qualifying_avg, should_match_features
 
+from children import run_python
 from generators import (
     STRICTNESS_CHOICES,
     anchored_points,
@@ -98,7 +95,7 @@ def screened(monkeypatch):
     screen = ClusteringEngine._screen
 
     def spy(self, *args):
-        seqs.append(self.points_seen)
+        seqs.append(self._points_seen)
         return screen(self, *args)
 
     monkeypatch.setattr(ClusteringEngine, "_screen", spy)
@@ -161,19 +158,11 @@ class TestShouldMatch:
         assert should_match_features(Config(strictness, n)) == expected
 
     def test_starting_the_cli_imports_neither_fractions_nor_decimal(self):
-        # the child imports the copy of the package that this process imported
-        package_root = Path(strictcluster.__file__).resolve().parents[1]
         code = (
             "import sys; import strictcluster.cli; "
             "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ, "PYTHONPATH": str(package_root)},
-        )
+        proc = run_python(code)
         assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
@@ -338,7 +327,7 @@ class TestStreamDiscipline:
                 for point in points:
                     eng.assign(point)
             assert exc.value.point_seq == seq
-            assert eng.points_seen == seq  # the failing point changed nothing
+            assert eng.state().points_seen == seq  # the failing point changed nothing
 
     def test_many_new_clusters_grow_capacity(self):
         points = [[3.0**i] for i in range(100)]  # each 300% of the last: never joins

@@ -2,9 +2,7 @@
 
 import io
 import json
-import os
 import subprocess
-import sys
 
 import pytest
 from hypothesis import given
@@ -23,6 +21,8 @@ from strictcluster.cli import main
 from strictcluster.engine import ClusteringEngine
 from strictcluster.ingestion import _parse_csv_fields, _parse_jsonl_fields
 from strictcluster.model import validate_point
+
+from children import ENV, PYTHON
 
 CFG2 = Config(60.0, 2)
 
@@ -43,18 +43,14 @@ class TestCsvLine:
         assert _parse_csv_fields(" 1 ,\t2 ") == [1.0, 2.0]
 
     def test_bad_number_reports_the_column(self):
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ParseError, match=r"^column 2: 'two' is not a number$"):
             _parse_csv_fields("1,two,3")
-        assert exc.value.column == 2
-        assert "'two'" in str(exc.value)
 
     @pytest.mark.parametrize("line,col", [("1_0,2", 1), ("2,1_000.5", 2), ("1,2e1_0", 2)])
     def test_digit_separators_are_not_numbers(self, line, col):
         # float() would read 1_0 as 10; the CSV syntax does not
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ParseError, match=f"^column {col}: .* is not a number$"):
             _parse_csv_fields(line)
-        assert exc.value.column == col
-        assert "not a number" in str(exc.value)
 
     def test_wrong_arity(self):
         with pytest.raises(DimensionMismatch):
@@ -102,14 +98,14 @@ class TestCsvLine:
     )
     def test_whole_line_parse_agrees_with_per_field_parse(self, fields, trailing_comma):
         # a line without "_" is parsed in one float() pass; the values, or
-        # the error and its column, must be those of the per-field parse
+        # the error and the column it names, must be those of the per-field parse
         line = ",".join(fields) + ("," if trailing_comma else "")
         outcomes = []
         for parse in (_parse_csv_fields, per_field_parse):
             try:
                 outcomes.append([repr(v) for v in parse(line)])
             except ParseError as err:
-                outcomes.append((str(err), err.column))
+                outcomes.append(str(err))
         assert outcomes[0] == outcomes[1]
 
 
@@ -123,7 +119,7 @@ def per_field_parse(line):
                 raise ValueError(text)
             values.append(float(text))
         except ValueError:
-            raise ParseError(f"column {col}: {text!r} is not a number", column=col) from None
+            raise ParseError(f"column {col}: {text!r} is not a number") from None
     return values
 
 
@@ -157,6 +153,8 @@ class TestJsonlLine:
             ('{"features": [1, {}]}', "feature 2 cannot be read as a float: {}"),
             ('{"features": [1, 2], "id": 9}', "string"),
             ('{"features": [1, 2]', "invalid JSON"),
+            # the position is a character, as a CSV error's column is a field
+            ('{"features": [1,', "invalid JSON at character 17: Expecting value"),
             pytest.param(
                 '{"features": [1, 1' + "0" * 400 + "]}",
                 "feature 2 is too large for a float",
@@ -233,13 +231,11 @@ def per_value_parse(line):
     values = []
     for col, v in enumerate(json.loads(line)["features"], start=1):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ParseError(f'"features"[{col}]: {v!r} is not a number', column=col)
+            raise ParseError(f'"features"[{col}]: {v!r} is not a number')
         try:
             values.append(float(v))
         except OverflowError:
-            raise ParseError(
-                f'"features"[{col}]: integer too large for a float', column=col
-            ) from None
+            raise ParseError(f'"features"[{col}]: integer too large for a float') from None
     return values
 
 
@@ -417,10 +413,10 @@ def run_cli(route, data, argv, tmp_path, capsys):
     argv = ["run", "--strictness", "60", *argv]
     if route == "stdin":
         proc = subprocess.run(
-            [sys.executable, "-m", "strictcluster", *argv],
+            [PYTHON, "-m", "strictcluster", *argv],
             input=data,
             capture_output=True,
-            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+            env={**ENV, "PYTHONIOENCODING": "utf-8:strict"},
             timeout=60,
         )
         return proc.returncode, proc.stdout.decode(), proc.stderr.decode()

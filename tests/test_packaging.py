@@ -4,9 +4,7 @@ import ast
 import gc
 import importlib
 import json
-import os
 import runpy
-import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +12,8 @@ import pytest
 
 import strictcluster
 from strictcluster import cli
+
+from children import run_python
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -56,22 +56,6 @@ def test_the_console_script_names_the_entry_that_module_execution_calls(monkeypa
     assert exc.value.code == 3
 
 
-PACKAGE_ROOT = Path(strictcluster.__file__).resolve().parents[1]
-
-
-def run_python(code, *args, **kwargs):
-    """Run ``code`` in a fresh interpreter that imports the package from
-    where this process imported it: src, or an installed copy."""
-    return subprocess.run(
-        [sys.executable, "-c", code, *args],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
-        **kwargs,
-    )
-
-
 def test_importing_the_package_loads_no_numpy_and_no_submodule():
     code = (
         "import sys, strictcluster; print(sorted(m for m in sys.modules "
@@ -94,7 +78,9 @@ def test_dir_lists_the_public_names_and_nothing_else_resolves():
 
 
 @pytest.mark.parametrize(
-    "name", ["feature_similarity", "qualifying_range", "should_match_features", "validate_point"]
+    "name",
+    ["feature_similarity", "qualifying_range", "should_match_features", "validate_point",
+     "SNAPSHOT_FORMAT", "SNAPSHOT_VERSION"],
 )
 def test_a_name_that_only_the_cli_or_the_tests_read_is_not_public(name):
     assert name not in strictcluster.__all__
@@ -104,10 +90,13 @@ def test_a_name_that_only_the_cli_or_the_tests_read_is_not_public(name):
 
 @pytest.mark.parametrize(
     "module, name",
-    [("engine", "feature_similarity"), ("engine", "should_match_features"), ("model", "validate_point")],
+    [("engine", "feature_similarity"), ("engine", "should_match_features"), ("model", "validate_point"),
+     ("persistence", "SNAPSHOT_FORMAT"), ("persistence", "SNAPSHOT_VERSION")],
 )
 def test_a_helper_that_left_the_root_stays_in_its_submodule(module, name):
-    assert callable(getattr(importlib.import_module(f"strictcluster.{module}"), name))
+    value = getattr(importlib.import_module(f"strictcluster.{module}"), name)
+    # a function stays callable; a constant stays the text or number a save writes
+    assert callable(value) if name.islower() else type(value) in (str, int)
 
 
 PACKAGE_DIR = Path(strictcluster.__file__).resolve().parent
@@ -146,6 +135,29 @@ def test_the_package_imports_its_own_names_from_submodules_only():
         found, seen = root_imports(path.read_text(encoding="utf-8"))
         assert found == [], path.name
         assert seen, path.name  # the walk saw the module's imports
+
+
+def interpreter_reads(source):
+    """How often ``source`` names the running interpreter: ``sys.executable``,
+    or ``executable`` imported from sys."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            count += node.attr == "executable" and getattr(node.value, "id", None) == "sys"
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            count += any(alias.name == "executable" for alias in node.names)
+    return count
+
+
+def test_only_the_child_helper_names_the_interpreter():
+    # so every child a test starts runs under the helper's env, which puts
+    # the package that this process imported on its path
+    assert interpreter_reads("import sys\nfrom sys import executable\nsys.executable\n") == 2
+    found = {}
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        if count := interpreter_reads(path.read_text(encoding="utf-8")):
+            found[path.name] = count
+    assert found == {"children.py": 1}
 
 
 def test_submodules_import_from_the_package():

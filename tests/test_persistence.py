@@ -1,19 +1,13 @@
 """Snapshot save/load: exact round trips and corruption handling."""
 
-import dataclasses
-import hashlib
 import json
 import os
 import random
 import re
 import stat
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import strictcluster
 from strictcluster import (
     ChecksumMismatch,
     Cluster,
@@ -21,8 +15,6 @@ from strictcluster import (
     ClusterState,
     Config,
     InvariantViolation,
-    SNAPSHOT_FORMAT,
-    SNAPSHOT_VERSION,
     SnapshotFormatError,
     VersionUnsupported,
     load_snapshot,
@@ -30,9 +22,12 @@ from strictcluster import (
     save_snapshot,
 )
 from strictcluster.cli import main
+from strictcluster.persistence import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
 
+from children import run_python
 from generators import random_case
 from golden import GOLDEN_ILL_TYPED, GOLDEN_N_FEATURES, GOLDEN_POINTS, GOLDEN_STRICTNESS
+from reference import checksummed
 
 
 @pytest.fixture
@@ -97,16 +92,7 @@ def one_shot_snapshot(state):
             for c in state.clusters
         ],
     }
-    payload = json.dumps(doc, separators=(",", ":"))
-    header = json.dumps(
-        {
-            "format": SNAPSHOT_FORMAT,
-            "format_version": SNAPSHOT_VERSION,
-            "payload_sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
-        },
-        separators=(",", ":"),
-    )
-    return (header + "\n" + payload + "\n").encode("utf-8")
+    return checksummed(json.dumps(doc, separators=(",", ":"))).encode("utf-8")
 
 
 AWKWARD_STATE = ClusterState(
@@ -176,17 +162,8 @@ def test_resume_through_snapshot_continues_bit_exactly(tmp_path):
 
 
 def run_child(code, *args):
-    """Run ``code`` in a fresh interpreter that imports the test helpers and
-    the copy of the package that this process imported; its stdout."""
-    here = Path(__file__).resolve().parent
-    package_root = Path(strictcluster.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": f"{package_root}{os.pathsep}{here}"},
-    )
+    """The stdout of ``code`` run in a child interpreter, which must succeed."""
+    proc = run_python(code, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -353,17 +330,9 @@ class TestCorruption:
 
     def rewrite_payload(self, path, mutate):
         """Apply ``mutate`` to the payload document and fix the checksum."""
-        import hashlib
-
-        header, payload = path.read_text().splitlines()
-        doc = json.loads(payload)
+        doc = json.loads(path.read_text().splitlines()[1])
         mutate(doc)
-        new_payload = json.dumps(doc, separators=(",", ":"))
-        head = json.loads(header)
-        head["payload_sha256"] = hashlib.sha256(new_payload.encode()).hexdigest()
-        path.write_text(
-            json.dumps(head, separators=(",", ":")) + "\n" + new_payload + "\n"
-        )
+        path.write_text(checksummed(json.dumps(doc, separators=(",", ":"))))
 
     def test_consistent_checksum_but_inconsistent_state(self, golden_state, tmp_path):
         path = self.write(tmp_path, golden_state)
@@ -435,14 +404,12 @@ class TestCorruption:
             assert err == "strictcluster: error: snapshot is not UTF-8 text\n"
 
     def test_unparseable_payload_with_matching_checksum(self, golden_state, tmp_path):
-        import hashlib
-
         path = self.write(tmp_path, golden_state)
-        header = json.loads(path.read_text().splitlines()[0])
-        garbage = "{broken"
-        header["payload_sha256"] = hashlib.sha256(garbage.encode()).hexdigest()
-        path.write_text(json.dumps(header) + "\n" + garbage + "\n")
-        with pytest.raises(InvariantViolation):
+        path.write_text(checksummed("{broken"))
+        with pytest.raises(InvariantViolation, match=(
+            "^snapshot payload is inconsistent: invalid JSON at character 2: "
+            "Expecting property name enclosed in double quotes$"
+        )):
             load_snapshot(path)
 
     DEEP = "[" * 200_000
@@ -461,10 +428,11 @@ class TestCorruption:
         self, tmp_path, capsys, header, payload, error, reason
     ):
         # the decoder itself fails on these, with a RecursionError or ValueError
-        if header is None:  # a valid header, so the payload is decoded
-            header = checksummed_header(payload)
         path = tmp_path / "state.snap"
-        path.write_text(header + "\n" + payload + "\n")
+        if header is None:  # a valid header, so the payload is decoded
+            path.write_text(checksummed(payload))
+        else:
+            path.write_text(header + "\n" + payload + "\n")
         with pytest.raises(error, match=f"^{re.escape(reason)}$"):
             load_snapshot(path)
         assert main(["inspect", "--snapshot-in", str(path)]) == 1
@@ -496,18 +464,10 @@ class TestCorruption:
     ):
         # the message names the shape a save writes, not a Python error's text
         path = tmp_path / "state.snap"
-        path.write_text(checksummed_header(payload) + "\n" + payload + "\n")
+        path.write_text(checksummed(payload))
         reason = f"snapshot payload is inconsistent: {reason}"
         with pytest.raises(InvariantViolation, match=f"^{re.escape(reason)}$"):
             load_snapshot(path)
         assert main(["inspect", "--snapshot-in", str(path)]) == 1
         assert capsys.readouterr() == ("", f"strictcluster: error: {reason}\n")
 
-
-def checksummed_header(payload):
-    """A snapshot header line whose checksum is that of ``payload``."""
-    return json.dumps({
-        "format": SNAPSHOT_FORMAT,
-        "format_version": SNAPSHOT_VERSION,
-        "payload_sha256": hashlib.sha256(payload.encode()).hexdigest(),
-    })

@@ -12,7 +12,6 @@ or in neither, and what loads passes ``verify_state``.
 
 import contextlib
 import copy
-import hashlib
 import io
 import json
 import math
@@ -23,8 +22,10 @@ import tempfile
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from strictcluster import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, load_snapshot, verify_state
+from strictcluster import load_snapshot, verify_state
 from strictcluster.cli import main
+
+from reference import checksummed
 
 # enough examples to mix every token kind, few enough to keep the suite quick
 GATE = settings(max_examples=100, deadline=None)
@@ -278,14 +279,8 @@ def poked(pokes):
 
 def write_snapshot(path, doc):
     """A snapshot file of the payload ``doc`` under a valid checksum."""
-    payload = json.dumps(doc, separators=(",", ":")).encode()
-    header = json.dumps({
-        "format": SNAPSHOT_FORMAT,
-        "format_version": SNAPSHOT_VERSION,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
-    }, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
-        fh.write(header + b"\n" + payload + b"\n")
+        fh.write(checksummed(json.dumps(doc, separators=(",", ":"))).encode())
 
 
 @GATE
