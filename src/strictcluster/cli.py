@@ -190,15 +190,10 @@ def _write_summary(
 
 
 def _sim_rows(engine: ClusteringEngine, dp: DataPoint) -> np.ndarray:
-    """Similarity of dp against every centroid as it stands before insertion.
-
-    One flat float64 array, cluster by cluster, with nan where the
-    similarity is undefined: feature_similarity never returns nan, and
-    numpy stores its None as nan.
-    """
-    cents = engine.centroids().ravel().tolist()
-    sims = map(feature_similarity, dp.features * engine.cluster_count, cents)
-    return np.array(list(sims), dtype=np.float64)
+    """Similarity of dp against every centroid as it stands before insertion:
+    the (k, n) float64 matrix of one feature_similarity call, NaN where the
+    similarity is undefined, which _fmt2_parts writes as "undef"."""
+    return feature_similarity(dp.features, engine.centroids())
 
 
 def _decision_text(outcome: AssignmentOutcome) -> str:
@@ -289,7 +284,7 @@ def _print_trace(
     if k:
         has = matched.astype(bool)  # not matched > 0 (see _TraceTexts)
         # per row, the n cells, then the average, or 0 where nothing matched
-        cells = np.concatenate((sims.reshape(k, n), np.where(has, avgs, 0.0)[:, None]), axis=1)
+        cells = np.concatenate((sims, np.where(has, avgs, 0.0)[:, None]), axis=1)
         whole, hundredths, at, heads = _fmt2_parts(cells.ravel())
         whole = whole.reshape(k, n + 1)
         hundredths = hundredths.reshape(k, n + 1)

@@ -41,10 +41,31 @@ A traced point (``assign``'s ``_on_profile``) scores every cluster in full
 too, but only after its range check and the screen's start, so tracing
 changes neither when the screen turns off nor what the mirror holds.
 
-The per-cluster scan is vectorized with numpy, but every arithmetic step
-mirrors this module's :func:`feature_similarity` and the band check
-operation for operation, so results are bit-identical to a plain-Python
-evaluation.
+Each cell is the similarity rule that the tests' oracle
+(``naive_similarity`` in tests/reference.py) checks bit for bit: the IEEE
+float64 quotient 100 * d / c, taken as 100 * (d / c) where 100 * d
+overflows (d above about 1.8e306), 100 where d = c = 0, and undefined
+where c = 0 < d. The kernel leaves inf in an undefined cell, which no band
+holds, and :func:`feature_similarity` writes NaN there. One helper,
+:func:`_percents`, does the division and the two fix-ups for both.
+
+A point needs no np.errstate when no float flag can be raised in it: the
+quiet path. The point must be neither count-filtered nor traced, every
+positive feature must lie in [2**-60, 2**60], and the engine must be
+*tame*: every earlier point lay in that range, and no founder had a zero
+feature. Then every sum s of a cluster of count c lies in
+[2**-60, c * 2**60]: the founder starts it at 2**-60 or more, a join adds 0
+or at most 2**60, and rounding is monotone, so fl(s + d) stays at or below
+(c + 1) * 2**60, which is exact because every count is below 2**53 (each
+member's seq is stored). Every centroid s / c so lies in [2**-113, 2**60],
+every 100 * d is 0 or in [2**-54, 2**67], every percent is 0 or in
+[2**-114, 2**180], and every sum stays below 2**113. No division, product,
+sum or mean can overflow, underflow, divide by zero or meet 0 / 0, and no
+join's sum can pass the largest float, so a tame engine skips that
+check. A state that :meth:`ClusteringEngine.from_state` loads is tame when
+its sums and counts meet the same bounds. Every other point runs under
+np.errstate with every flag ignored.
+
 Centroids are stored feature-major, one contiguous row of length k per
 feature, so the scan divides n long rows rather than k rows of n. The
 feature sums stay row-major, one row per cluster, as
@@ -62,6 +83,7 @@ rejected before any state changes.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -78,26 +100,6 @@ from .model import (
     validate_point,
     verify_state,
 )
-
-
-def feature_similarity(datapoint_value: float, centroid_value: float) -> float | None:
-    """Similarity percent of a point feature against a centroid feature.
-
-    Returns None (undefined) when the centroid feature is 0 and the point's
-    is positive; such a feature never qualifies. Two exact zeros are
-    identical values and score 100. The value is scaled by 100 before the
-    division; only when that product overflows (value above about 1.8e306)
-    is the ratio taken first, as 100 * (value / centroid).
-
-    The scalar form that the CLI's --trace cells and the tests read, not a
-    public name; ROADMAP item 3 deletes it.
-    """
-    if centroid_value == 0.0:
-        return 100.0 if datapoint_value == 0.0 else None
-    scaled = 100.0 * datapoint_value
-    if math.isinf(scaled):
-        return 100.0 * (datapoint_value / centroid_value)
-    return scaled / centroid_value
 
 
 def _decimal_ratio(value: float) -> tuple[int, int]:
@@ -137,27 +139,81 @@ def _head_rows(n: int, need: int) -> int:
     return max(9 * slack // 5, slack + 1)
 
 
-# Positive features in this range keep the float32 screen's operands normal.
+# Positive features in this range keep the float32 screen's operands normal,
+# and a tame engine's arithmetic free of float flags (module doc).
 _SCREEN_MIN, _SCREEN_MAX = 2.0**-60, 2.0**60
 
+# what a quiet point enters in place of np.errstate
+_QUIET = contextlib.nullcontext()
 
-def _fixups(features: tuple[float, ...], ranged: bool) -> tuple[bool, bool, bool]:
-    """Whether 100 * d overflows for any feature d, whether any d is zero,
-    and, with ``ranged``, whether every positive d lies in
-    [_SCREEN_MIN, _SCREEN_MAX] (True without it).
 
-    Without ``ranged``, one max and one ``in`` pass (`in` compares with ==,
-    so -0.0 counts as zero). With it, one max and one min pass: features are
-    >= 0, so a min of 0 (or -0.0) means a zero feature, and only then does a
-    second pass find the smallest positive one.
+def _fixups(features: Sequence[float]) -> tuple[bool, bool, bool]:
+    """Whether 100 * d overflows for any feature d, whether any d is zero, and
+    whether every positive d lies in [_SCREEN_MIN, _SCREEN_MAX].
+
+    One max and one min pass: features are >= 0, so a min of 0 (or -0.0)
+    means a zero feature, and only then does a second pass find the smallest
+    positive one. The flags tell :func:`_percents` which fix-ups a point
+    needs, and the range tells ``assign`` whether the point keeps the screen
+    and the engine tame (module doc).
     """
-    if not ranged:
-        return 100.0 * max(features) == math.inf, 0.0 in features, True
     top, low = max(features), min(features)
     zeros = low == 0.0
     if zeros:
         low = min((v for v in features if v), default=_SCREEN_MIN)
     return 100.0 * top == math.inf, zeros, _SCREEN_MIN <= low and top <= _SCREEN_MAX
+
+
+def _percents(
+    f: np.ndarray, num: np.ndarray, cents: np.ndarray, overflows: bool, zeros: bool
+) -> np.ndarray:
+    """The similarity cells of point rows f against centroid rows cents, n by
+    k: num / cents with the rule's two fix-ups (module doc).
+
+    ``num`` is 100 * f, cast to float32 for the screen; ``overflows`` and
+    ``zeros`` are :func:`_fixups` of the point. A cell where c = 0 < d is
+    left inf. Callers hold np.errstate with every flag ignored, or run a
+    point of the quiet path.
+    """
+    sims = num[:, None] / cents
+    # 100 * d overflows for d above about 1.8e306: those rows divide first,
+    # as 100 * (d / c)
+    if overflows:
+        for j in np.isinf(num).nonzero()[0]:
+            sims[j] = 100.0 * (f[j] / cents[j])
+    # zero centroid feature: an exactly-zero point value is identical
+    # (similarity 100, fixed up here from the nan of 0/0); a positive one is
+    # undefined and the inf left by the division never falls inside the
+    # band. The screen's mirror is 0 exactly where the centroid is.
+    if zeros:
+        for j in (f == 0.0).nonzero()[0]:
+            row = sims[j]
+            row[cents[j] == 0.0] = 100.0
+    return sims
+
+
+def feature_similarity(features: Sequence[float], centroids: np.ndarray) -> np.ndarray:
+    """Similarity percents of a point's features against every centroid.
+
+    ``centroids`` is a (k, n) matrix, one row per cluster, as
+    :meth:`ClusteringEngine.centroids` returns it. The result is the (k, n)
+    float64 matrix of the kernel's own cells (:func:`_percents`), with NaN
+    where the similarity is undefined (c = 0 < d). A finite d / c past the
+    largest float stays inf.
+
+    The CLI's --trace cells, not a public name; ROADMAP item 3 hands the
+    trace the decision's own matrix instead.
+    """
+    f = np.asarray(features, dtype=np.float64)
+    cents = np.asarray(centroids, dtype=np.float64).T
+    overflows, zeros, _ = _fixups(features)
+    with np.errstate(all="ignore"):
+        sims = _percents(f, 100.0 * f, cents, overflows, zeros)
+    # inf marks both c = 0 < d and an overflowing quotient, so the undefined
+    # cells are found from the zero centroid features, when there are any
+    if cents.min(initial=math.inf) == 0.0:
+        sims[(cents == 0.0) & (f != 0.0)[:, None]] = math.nan
+    return sims.T
 
 
 def _qualifying_avg(sims: np.ndarray, band: np.ndarray, i: int) -> float:
@@ -197,6 +253,7 @@ class ClusteringEngine:
         self._head_need = self._head - (self._n - self._need)
         self._screens = True  # and with it the filter, until a value out of range
         self._cents32: np.ndarray | None = None  # the head rows' float32 mirror
+        self._tame = True  # no float flag can be raised yet (module doc)
         self._points_seen = 0
         self._sums = np.zeros((0, self._n), dtype=np.float64)
         self._counts: list[int] = []
@@ -217,8 +274,15 @@ class ClusteringEngine:
             [cl.feature_sums for cl in clusters], dtype=np.float64
         ).reshape(len(clusters), eng._n)
         eng._counts = [cl.member_count for cl in clusters]
-        # _join's elementwise total / count, into a C-ordered (n, k) array
-        eng._cents = np.ascontiguousarray(eng._sums.T) / np.array(eng._counts, dtype=np.float64)
+        counts = np.array(eng._counts, dtype=np.float64)
+        # _join's elementwise total / count, into a C-ordered (n, k) array;
+        # a sum below the quiet path's bounds can underflow
+        with np.errstate(under="ignore"):
+            eng._cents = np.ascontiguousarray(eng._sums.T) / counts
+        # tame: every sum in [_SCREEN_MIN, count * _SCREEN_MAX] (module doc)
+        eng._tame = max(eng._counts, default=0) < 2**53 and bool(
+            ((eng._sums >= _SCREEN_MIN) & (eng._sums <= counts[:, None] * _SCREEN_MAX)).all()
+        )
         eng._members = [list(cl.member_seqs) for cl in clusters]
         eng._points_seen = state.points_seen
         return eng
@@ -281,20 +345,24 @@ class ClusteringEngine:
         filtering = (
             self._screens and m < n and (n - m) * len(self._counts) >= _FILTER_MIN_SKIPPED
         )
-        # the range matters only to a point the filter scores; the state
-        # check in _start_screen covers every point before the first
-        overflows, zeros, in_range = _fixups(dp.features, filtering)
-        if not in_range:
-            self._screens, self._cents32 = False, None
-            filtering = False
-        elif filtering and self._cents32 is None:
-            filtering = self._start_screen()
+        overflows, zeros, in_range = _fixups(dp.features)
+        # the range turns the screen off only at a point the filter scores;
+        # the state check in _start_screen covers every point before the first
+        if filtering:
+            if not in_range:
+                self._screens, self._cents32 = False, None
+                filtering = False
+            elif self._cents32 is None:
+                filtering = self._start_screen()
         if _on_profile is not None:  # a traced point, after its range check
             filtering = False
+        self._tame = tame = self._tame and in_range
+        quiet = tame and not filtering and _on_profile is None
 
         # Score against the state as it stood before this point; once k is
         # large, only the clusters that pass the count filter (module doc).
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # A quiet point can raise no float flag, so it enters no np.errstate.
+        with _QUIET if quiet else np.errstate(all="ignore"):
             if filtering:
                 # ascending: the kept columns stay in creation order, so an
                 # exact tie still goes to the earliest cluster
@@ -342,22 +410,23 @@ class ClusteringEngine:
                     widx = int(kept[widx])
                 total = self._sums[widx] + f
 
-        if widx < 0:
-            return AssignmentOutcome(
-                point_seq=seq,
-                assigned_cluster_id=self._create(f, seq),
-                created_new=True,
-                decision_path=path,
-            )
-        # sums and features are finite and >= 0, so an overflow is +inf
-        if math.inf in total.tolist():
-            err = FeatureSumOverflow(
-                f"point seq {seq} would overflow a feature sum of "
-                f"cluster {widx + 1} past the largest float"
-            )
-            err.point_seq = seq
-            raise err
-        self._join(widx, total, seq)
+            if widx < 0:
+                return AssignmentOutcome(
+                    point_seq=seq,
+                    assigned_cluster_id=self._create(f, seq, zeros),
+                    created_new=True,
+                    decision_path=path,
+                )
+            # sums and features are finite and >= 0, so an overflow is +inf;
+            # a tame engine's sums stay below 2**113 (module doc)
+            if not tame and math.inf in total.tolist():
+                err = FeatureSumOverflow(
+                    f"point seq {seq} would overflow a feature sum of "
+                    f"cluster {widx + 1} past the largest float"
+                )
+                err.point_seq = seq
+                raise err
+            self._join(widx, total, seq)
         return AssignmentOutcome(
             point_seq=seq,
             assigned_cluster_id=widx + 1,
@@ -379,26 +448,13 @@ class ClusteringEngine:
         taken once per point. With ``screen``, ``cents`` is the float32
         mirror, and the scaled point is cast to float32 and counted against
         the widened float32 band (:meth:`_screen`). Callers hold np.errstate
-        with divide, invalid and over ignored.
+        with every flag ignored, or run a point of the quiet path (module doc).
         """
         if screen:
             lo, hi, num = self._lo32, self._hi32, (100.0 * f).astype(np.float32)
         else:
             lo, hi, num = self._lo, self._hi, 100.0 * f
-        sims = num[:, None] / cents
-        # 100 * d overflows for d above about 1.8e306: those rows divide
-        # first, as 100 * (d / c)
-        if overflows:
-            for j in np.isinf(num).nonzero()[0]:
-                sims[j] = 100.0 * (f[j] / cents[j])
-        # zero centroid feature: an exactly-zero point value is identical
-        # (similarity 100, fixed up here from the nan of 0/0); a positive
-        # one is undefined and the inf left by the division never falls
-        # inside the band. The mirror is 0 exactly where the centroid is.
-        if zeros:
-            for j in (f == 0.0).nonzero()[0]:
-                row = sims[j]
-                row[cents[j] == 0.0] = 100.0
+        sims = _percents(f, num, cents, overflows, zeros)
         band = (sims >= lo) & (sims <= hi)
         matched = np.add.reduce(band.view(np.uint8), axis=0, dtype=self._count_type)
         return sims, band, matched
@@ -440,7 +496,9 @@ class ClusteringEngine:
             point = point.features  # validate_point raises the width error
         return validate_point(point, self._n)
 
-    def _create(self, f: np.ndarray, seq: int) -> int:
+    def _create(self, f: np.ndarray, seq: int, zeros: bool) -> int:
+        if zeros:  # a zero centroid feature ends the quiet path (module doc)
+            self._tame = False
         self._sums = np.vstack((self._sums, f))
         self._cents = np.hstack((self._cents, f[:, None]))
         if self._cents32 is not None:

@@ -243,6 +243,16 @@ class TestRun:
                 [[0.0, 1.0], [5.0, 1.0]], (1, 100.0),
                 "C1: undef 100  matched 1  avg 100\n", id="undefined-cell",
             ),
+            # 100 * 1e307 overflows: the row divides first, 100 * (d / c)
+            pytest.param(
+                [[1e307, 1.0], [1e307, 1.0]], (2, 100.0),
+                "C1: 100 100  matched 2  avg 100\n", id="overflowing-row",
+            ),
+            # 100 * 1e-300 / 1e10 underflows to a subnormal
+            pytest.param(
+                [[1e10, 1.0], [1e-300, 1.0]], (1, 100.0),
+                "C1: 0 100  matched 1  avg 100\n", id="underflowing-cell",
+            ),
         ],
     )
     def test_profiles_and_trace_warn_nothing(self, points, want, row, capsys, monkeypatch):
@@ -258,6 +268,7 @@ class TestRun:
         assert profile_pairs(*profiles) == [want]
         assert code == 0
         assert f"[trace]   {row}" in err
+        assert err == render_trace(points, Config(50.0, 2))[0]
 
     def test_trace_changes_no_record_and_no_snapshot(self, tmp_path, capsys):
         # tie-heavy, and longer than the trace, so untraced points follow traced ones

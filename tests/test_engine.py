@@ -527,7 +527,7 @@ def kernel_avgs(eng, features):
     """_qualifying_avg of every cluster that matches, from the kernel's matrices."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f = np.asarray(features, dtype=np.float64)
-        sims, band, matched = eng._score(f, eng._cents, *_fixups(features, False)[:2])
+        sims, band, matched = eng._score(f, eng._cents, *_fixups(features)[:2])
     return [
         _qualifying_avg(sims, band, i) if c else None for i, c in enumerate(matched.tolist())
     ]
@@ -1020,10 +1020,10 @@ class TestHeadScreen:
     )
     def test_fixups_match_their_plain_definitions(self, features):
         f = tuple(features)
-        flags = (100.0 * max(f) == math.inf, 0.0 in f)
-        assert _fixups(f, False) == (*flags, True)
-        assert _fixups(f, True) == (
-            *flags, all(2.0**-60 <= v <= 2.0**60 for v in f if v > 0.0)
+        assert _fixups(f) == (
+            100.0 * max(f) == math.inf,
+            0.0 in f,
+            all(2.0**-60 <= v <= 2.0**60 for v in f if v > 0.0),
         )
 
     @given(screen_cases())
@@ -1184,3 +1184,155 @@ class TestHeadScreen:
         assert traced.state() == plain.state()
         # only the unhooked engine screened, and only until point 320
         assert screened == list(range(300, 320))
+
+
+def assign_strictly(strictness, n, points, state=None):
+    """(engine, outcomes) of ``points`` fed to a new engine, or to one resumed
+    from ``state``: once under numpy's default error state with every warning
+    an error, and once with every float flag raising. The two runs must agree
+    bit for bit; the first is returned."""
+    runs = []
+    for errstate in ({}, {"all": "raise"}):
+        with warnings.catch_warnings(), np.errstate(**errstate):
+            warnings.simplefilter("error")
+            if state is None:
+                eng = ClusteringEngine(Config(strictness, n))
+            else:
+                eng = ClusteringEngine.from_state(state)
+            runs.append((eng, [eng.assign(p) for p in points]))
+    (eng, outcomes), (again, again_outcomes) = runs
+    assert again_outcomes == outcomes
+    assert again.state() == eng.state()
+    assert again.centroids().tobytes() == eng.centroids().tobytes()
+    return eng, outcomes
+
+
+def assert_oracle_agrees(strictness, n, points, eng, outcomes):
+    """The oracle's outcomes of the last len(outcomes) points, and its
+    memberships and centroids, bit for bit."""
+    clusterer, results = naive_run(strictness, n, points)
+    assert outcome_keys(outcomes) == results[len(points) - len(outcomes) :]
+    assert [list(c.member_seqs) for c in eng.state().clusters] == clusterer.members
+    assert eng.centroids().tolist() == clusterer.centroids()
+
+
+BELOW, ABOVE = math.nextafter(2.0**-60, 0.0), math.nextafter(2.0**60, math.inf)
+
+# (stream at s = 50 and n = 2, whether the engine is still tame after it)
+QUIET_EDGES = {
+    "2**-60": ([[1.0, 1.0], [2.0**-60, 1.0], [2.0**-60, 1.0], [1.0, 2.0**-60]], True),
+    "2**60": ([[1.0, 1.0], [2.0**60, 1.0], [2.0**60, 1.0], [1.0, 2.0**60]], True),
+    "ulp-below-2**-60": ([[1.0, 1.0], [BELOW, 1.0], [BELOW, 1.0], [1.0, BELOW]], False),
+    "ulp-above-2**60": ([[1.0, 1.0], [ABOVE, 1.0], [ABOVE, 1.0], [1.0, ABOVE]], False),
+    # 2**-60 against 2**60 and back: percents of about 2**-114 and 2**180
+    "both-edges": ([[2.0**60, 2.0**-60], [2.0**-60, 2.0**60], [2.0**60, 2.0**60]], True),
+    # C1 is [1, 0.5] after the join, so the zero's cell is 0 / 0.5
+    "zero-joins": ([[1.0, 1.0], [1.0, 0.0], [1.5, 0.0]], True),
+    # C2 holds a zero: 0 / 0 and 5 / 0 cells follow
+    "zero-founds": ([[1.0, 1.0], [0.0, 3.0], [0.0, 3.0], [5.0, 3.0]], False),
+}
+
+# (founding points of the saved state, whether a resumed engine is tame)
+LOADED_SUMS = {
+    "zero-sum": ([[0.0, 1.0]], False),
+    "sum-below-2**-60": ([[BELOW, 1.0]], False),
+    "sum-past-count*2**60": ([[2.0**61, 1.0]], False),
+    "sum-at-count*2**60": ([[2.0**60, 1.0], [2.0**60, 1.0]], True),
+    "sum-at-2**-60": ([[2.0**-60, 1.0]], True),
+}
+
+# the caller's np.errstate(all="raise") once made each of these raise
+ERRSTATE_REPROS = {
+    "underflowing-cell": lambda: run_stream(Config(90.0, 2), [[1e10, 1.0], [1e-300, 1.0]]),
+    "underflowing-join": lambda: run_stream(
+        Config(50.0, 2), [[1e-310, 1.0], [2e-310, 1.0], [3e-310, 1.0]]
+    ),
+    "underflowing-load": lambda: ClusteringEngine.from_state(
+        ClusterState(Config(50.0, 1), (Cluster(1, 3, (1e-310,), (0, 1, 2)),), 3)
+    ).centroids().tobytes(),
+}
+
+
+class TestQuietPath:
+    """A point that can raise no float flag skips np.errstate (module doc of
+    engine.py); the caller's numpy error state changes no outcome."""
+
+    @pytest.mark.parametrize("name", list(QUIET_EDGES))
+    def test_range_edges_and_zeros_agree_with_the_oracle(self, name):
+        points, tame = QUIET_EDGES[name]
+        eng, outcomes = assign_strictly(50.0, 2, points)
+        assert_oracle_agrees(50.0, 2, points, eng, outcomes)
+        assert eng._tame is tame
+        assert not all(o.created_new for o in outcomes)
+
+    @pytest.mark.parametrize("name", list(LOADED_SUMS))
+    def test_a_resumed_state_is_tame_only_inside_the_bounds(self, name):
+        head, tame = LOADED_SUMS[name]
+        native = ClusteringEngine(Config(50.0, 2))
+        for p in head:
+            native.assign(p)
+        assert native._tame is tame
+        tail = [head[0], [1.0, 1.0], [5.0, 1.0], [1.0, 2.0**-60]]
+        eng, outcomes = assign_strictly(50.0, 2, tail, native.state())
+        assert_oracle_agrees(50.0, 2, head + tail, eng, outcomes)
+        assert ClusteringEngine.from_state(native.state())._tame is tame
+
+    def test_a_feature_sum_overflow_still_raises_with_its_seq(self):
+        points = [[1e306, 1.0]] * 180
+        with pytest.raises(FeatureSumOverflow, match="seq 179") as info:
+            assign_strictly(50.0, 2, points)
+        assert info.value.point_seq == 179
+        eng, outcomes = assign_strictly(50.0, 2, points[:179])
+        assert_oracle_agrees(50.0, 2, points[:179], eng, outcomes)
+
+    def test_only_a_point_that_can_raise_a_flag_enters_errstate(self, monkeypatch):
+        entered = []
+        errstate = np.errstate
+
+        def spy(**flags):
+            entered.append(flags)
+            return errstate(**flags)
+
+        monkeypatch.setattr(np, "errstate", spy)
+        eng = ClusteringEngine(Config(50.0, 2))
+        for p in QUIET_EDGES["both-edges"][0] + QUIET_EDGES["zero-joins"][0]:
+            eng.assign(p)
+        assert entered == []
+        assign_profiled(eng, [1.0, 1.0])  # a traced point folds 0 / 0 averages
+        assert entered == [{"all": "ignore"}]
+        eng.assign([ABOVE, 1.0])  # not tame from here on
+        eng.assign([1.0, 1.0])
+        assert entered == [{"all": "ignore"}] * 3
+        assert not eng._tame
+
+    @pytest.mark.parametrize("name", list(ERRSTATE_REPROS))
+    def test_the_callers_errstate_changes_nothing(self, name):
+        with np.errstate(all="raise"):
+            raised = ERRSTATE_REPROS[name]()
+        assert raised == ERRSTATE_REPROS[name]()
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.sampled_from([1.0, 2.0**-70, 2.0**-1060, 2.0**70, 1e305]),
+        st.booleans(),
+    )
+    def test_any_generated_stream_ignores_the_callers_errstate(self, seed, length, scale, traced):
+        # scaled past the quiet path's range, into subnormals, and to where
+        # a feature sum can overflow; traced points fold their averages
+        strictness, n, points = random_case(random.Random(seed), length)
+        points = [[v * scale for v in p] for p in points]
+
+        def run():
+            eng = ClusteringEngine(Config(strictness, n))
+            got = []
+            try:
+                for p in points:
+                    got.append(assign_profiled(eng, p)[0] if traced else eng.assign(p))
+            except FeatureSumOverflow as err:
+                got.append((str(err), err.point_seq))
+            return eng.state(), got, eng.centroids().tobytes()
+
+        with np.errstate(all="raise"):
+            raised = run()
+        assert raised == run()

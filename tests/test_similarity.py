@@ -6,7 +6,9 @@ centroids, and checked against the scalar profile of the naive reference.
 """
 
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -33,38 +35,87 @@ dyadic_positive = st.builds(
 )
 
 
+def cell(d, c):
+    """The one cell of feature_similarity for a one-feature point and centroid."""
+    return feature_similarity([d], [[c]])[0, 0]
+
+
+# zeros, subnormals, features whose 100 * d overflows, tiny centroids
+EDGE_FEATURES = [0.0, -0.0, 5e-324, 1e-310, 1e-300, 1.0, 1e307, 1e308, sys.float_info.max]
+EDGE_CENTROIDS = [0.0, 5e-324, 1e-310, 1e-300, 1.0, 1e10, 1e307, 1e308]
+
+
 class TestFeatureSimilarity:
     def test_known_ratios(self):
-        assert feature_similarity(9.0, 10.0) == 90.0
-        assert feature_similarity(45.0, 25.0) == 180.0
-        assert feature_similarity(35.0, 15.0) == pytest.approx(233.3333333, abs=1e-6)
-        assert feature_similarity(41.0, 45.0) == pytest.approx(91.1111111, abs=1e-6)
+        sims = feature_similarity(
+            [9.0, 45.0, 35.0, 41.0], [[10.0, 25.0, 15.0, 45.0], [9.0, 45.0, 35.0, 41.0]]
+        )
+        assert sims.shape == (2, 4) and sims.dtype == np.float64
+        assert sims[0, :2].tolist() == [90.0, 180.0]
+        assert sims[0, 2] == pytest.approx(233.3333333, abs=1e-6)
+        assert sims[0, 3] == pytest.approx(91.1111111, abs=1e-6)
+        assert sims[1].tolist() == [100.0] * 4
 
     def test_zero_centroid_rules(self):
-        assert feature_similarity(0.0, 0.0) == 100.0
-        assert feature_similarity(5.0, 0.0) is None
-        assert feature_similarity(0.0, 5.0) == 0.0
+        [[both_zero, undefined, zero_point]] = feature_similarity(
+            [0.0, 5.0, 0.0], [[0.0, 0.0, 5.0]]
+        )
+        assert both_zero == 100.0
+        assert math.isnan(undefined)
+        assert zero_point == 0.0
 
     @given(dyadic_positive)
     def test_identical_dyadic_values_score_exactly_100(self, x):
-        assert feature_similarity(x, x) == 100.0
+        assert cell(x, x) == 100.0
 
     @given(
         st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
         st.floats(min_value=0.0, allow_nan=False, allow_infinity=False, exclude_min=True),
     )
     def test_agrees_with_naive_route(self, d, c):
-        sim = feature_similarity(d, c)
+        sim = cell(d, c)
         assert sim == naive_similarity(d, c)
         if 100.0 * d < math.inf:  # scaled first: the normal range keeps its bits
             assert sim == 100.0 * d / c
 
     def test_overflowing_product_divides_first(self):
         assert 100.0 * 1e307 == math.inf
-        assert feature_similarity(1e307, 1e307) == 100.0
-        assert feature_similarity(1.7e308, 1.7e308) == 100.0
-        assert feature_similarity(1e307, 1e308) == 100.0 * (1e307 / 1e308)
-        assert feature_similarity(1e307, 1e-300) == math.inf  # never in a band
+        assert cell(1e307, 1e307) == 100.0
+        assert cell(1.7e308, 1.7e308) == 100.0
+        assert cell(1e307, 1e308) == 100.0 * (1e307 / 1e308)
+        assert cell(1e307, 1e-300) == math.inf  # never in a band
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.sampled_from(EDGE_FEATURES) | st.floats(0.0, sys.float_info.max),
+                    min_size=n,
+                    max_size=n,
+                ),
+                st.lists(
+                    st.lists(
+                        st.sampled_from(EDGE_CENTROIDS) | st.floats(0.0, sys.float_info.max),
+                        min_size=n,
+                        max_size=n,
+                    ),
+                    max_size=4,
+                ),
+            )
+        )
+    )
+    def test_every_cell_is_the_naive_similarity(self, case):
+        # bit for bit, NaN where the oracle gives None, whatever the caller's
+        # numpy error state
+        point, centroids = case
+        with np.errstate(all="raise"):
+            sims = feature_similarity(
+                point, np.array(centroids, dtype=np.float64).reshape(-1, len(point))
+            )
+        assert sims.shape == (len(centroids), len(point))
+        got = [[repr(None if math.isnan(v) else v) for v in row] for row in sims.tolist()]
+        want = [[repr(naive_similarity(d, c)) for d, c in zip(point, cent)] for cent in centroids]
+        assert got == want
 
 
 def cluster_with_centroid(values, cid=1):
@@ -112,7 +163,7 @@ class TestQualifyingBand:
         assert not qualifies(140.000000001, 100.0, 60.0)
 
     def test_none_never_qualifies(self):
-        assert feature_similarity(5.0, 0.0) is None
+        assert math.isnan(cell(5.0, 0.0))
         assert not qualifies(5.0, 0.0, 1.0)
 
     def test_strictness_100_admits_only_exact_100(self):
